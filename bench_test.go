@@ -111,6 +111,21 @@ func BenchmarkFig15Cholesky(b *testing.B) {
 // --- Scheduler throughput ---
 
 func benchScheduler(b *testing.B, fn core.Func, size int, alpha float64) {
+	g, p := dualBenchFixture(b, size, alpha)
+	// One cache set for the loop, as a session would hold: the benchmark
+	// tracks the steady-state (warm-memo) scheduling cost.
+	caches := core.NewCaches()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fn(tctx, g, p, core.Options{Seed: 7, Caches: caches}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// dualBenchFixture returns the daggen graph of the given size on the random
+// platform, both memories bounded at alpha times the HEFT peak.
+func dualBenchFixture(b *testing.B, size int, alpha float64) (*dag.Graph, platform.Platform) {
 	params := daggen.LargeParams()
 	params.Size = size
 	g, err := daggen.Generate(params, 7)
@@ -123,16 +138,7 @@ func benchScheduler(b *testing.B, fn core.Func, size int, alpha float64) {
 		b.Fatal(err)
 	}
 	bound := int64(alpha * float64(peak))
-	p = p.WithBounds(bound, bound)
-	// One cache set for the loop, as a session would hold: the benchmark
-	// tracks the steady-state (warm-memo) scheduling cost.
-	caches := core.NewCaches()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fn(tctx, g, p, core.Options{Seed: 7, Caches: caches}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return g, p.WithBounds(bound, bound)
 }
 
 // BenchmarkMemHEFT300 measures MemHEFT on a 300-task DAG at half the HEFT
@@ -222,6 +228,46 @@ func BenchmarkMultiMemHEFTRef1000k4(b *testing.B) {
 }
 func BenchmarkMultiMemMinMinRef300k3(b *testing.B) {
 	benchMultiScheduler(b, multi.MemMinMinReference, 300, 3, 0.3, false)
+}
+
+// --- Peak residency ---
+
+// peakSink keeps the benchmarked MemoryPeaks calls from being optimised
+// away.
+var peakSink int64
+
+// BenchmarkPeaks3000 measures MemoryPeaks alone on the MemHEFT3000
+// schedule: the finalize step a response pays after the engine.
+func BenchmarkPeaks3000(b *testing.B) {
+	g, p := dualBenchFixture(b, 3000, 0.7)
+	s, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		peakSink, _ = s.MemoryPeaks()
+	}
+}
+
+// BenchmarkPeaksK4x1000 is the k-pool twin on the MultiMemHEFT1000k4
+// schedule.
+func BenchmarkPeaksK4x1000(b *testing.B) {
+	params := daggen.LargeParams()
+	params.Size = 1000
+	g, err := daggen.Generate(params, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, p := experiments.KPoolBench(g, 4, 0.3)
+	s, err := multi.MemHEFT(tctx, in, p, multi.Options{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		peakSink = s.MemoryPeaks()[0]
+	}
 }
 
 // --- Sweep engine throughput ---

@@ -8,18 +8,20 @@ import (
 	"testing"
 )
 
-// TestRunSuiteTiny runs the harness on tiny dual and k-pool cases and
-// checks the report is well-formed JSON with sane numbers.
+// TestRunSuiteTiny runs the harness on tiny dual, k-pool and peak cases
+// and checks the report is well-formed JSON with sane numbers.
 func TestRunSuiteTiny(t *testing.T) {
 	rep, err := runSuite([]Case{
 		{Name: "tiny", Scheduler: "memheft", Size: 30, Alpha: 0.8},
 		{Name: "tiny-k3", Scheduler: "memheft", Size: 30, Alpha: 0.5, Pools: 3},
 		{Name: "tiny-k3-ref", Scheduler: "memheft", Size: 30, Alpha: 0.5, Pools: 3, Ref: true},
+		{Name: "tiny-peaks", Size: 30, Alpha: 0.8, Peaks: true},
+		{Name: "tiny-peaks-k3", Size: 30, Alpha: 0.5, Pools: 3, Peaks: true},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"tiny", "tiny-k3", "tiny-k3-ref"} {
+	for _, name := range []string{"tiny", "tiny-k3", "tiny-k3-ref", "tiny-peaks", "tiny-peaks-k3"} {
 		r, ok := rep.Benchmarks[name]
 		if !ok || r.NsPerOp <= 0 || r.Iterations <= 0 {
 			t.Fatalf("malformed result for %s: %+v", name, rep)

@@ -20,7 +20,9 @@ import (
 // instead of the incremental scheduler; sweep cases (Sweep == true) run the
 // 64-point fixture of bench_test.go through the parallel sweep engine with
 // the given worker bound (0 = GOMAXPROCS) and replay policy; fork cases
-// (Fork != "") measure Session.Fork plus one schedule on the fork.
+// (Fork != "") measure Session.Fork plus one schedule on the fork; peak
+// cases (Peaks == true) schedule the dual or k-pool fixture once and
+// measure MemoryPeaks on the result.
 type Case struct {
 	Name      string
 	Scheduler string // registry name passed to WithScheduler
@@ -32,6 +34,7 @@ type Case struct {
 	Workers   int
 	Replay    string // sweep replay policy; "" keeps the engine default (auto)
 	Fork      string // "warm" or "cold": benchmark Fork()+Schedule instead
+	Peaks     bool   // benchmark MemoryPeaks on one fixed schedule instead
 }
 
 // defaultCases is the tracked suite.
@@ -65,6 +68,11 @@ func defaultCases() []Case {
 		// behind frozen views; the cold fork re-ranks from scratch.
 		{Name: "ForkWarm1000", Size: 1000, Fork: "warm"},
 		{Name: "ForkCold1000", Size: 1000, Fork: "cold"},
+		// Peak residency: MemoryPeaks alone on the MemHEFT3000
+		// schedule and on the MultiMemHEFT1000k4 one, the finalize step
+		// every response pays after the engine.
+		{Name: "Peaks3000", Size: 3000, Alpha: 0.7, Peaks: true},
+		{Name: "PeaksK4x1000", Size: 1000, Alpha: 0.3, Pools: 4, Peaks: true},
 	}
 }
 
@@ -73,6 +81,8 @@ func defaultCases() []Case {
 // testing.Benchmark self-calibrates the iteration count.
 func run(c Case) (Result, error) {
 	switch {
+	case c.Peaks:
+		return runPeaks(c)
 	case c.Fork != "":
 		return runFork(c)
 	case c.Sweep:
@@ -157,20 +167,7 @@ func runSweep(c Case) (Result, error) {
 // steady-state scheduling cost.
 func runDual(c Case) (Result, error) {
 	ctx := context.Background()
-	params := daggen.LargeParams()
-	params.Size = c.Size
-	g, err := daggen.Generate(params, 7)
-	if err != nil {
-		return Result{}, err
-	}
-	p := experiments.RandomPlatform()
-	_, peak, err := experiments.HEFTReference(ctx, g, p, 7)
-	if err != nil {
-		return Result{}, err
-	}
-	bound := int64(c.Alpha * float64(peak))
-	pp := multi.FromDualPlatform(p.WithBounds(bound, bound))
-	sess, err := memsched.NewSession(g)
+	sess, pp, err := dualFixture(c)
 	if err != nil {
 		return Result{}, err
 	}
@@ -190,18 +187,38 @@ func runDual(c Case) (Result, error) {
 	return toResult(br), nil
 }
 
+// dualFixture returns the session and platform of a dual-memory case: a
+// daggen graph on the random platform, both memories bounded at Alpha
+// times the HEFT peak.
+func dualFixture(c Case) (*memsched.Session, memsched.Platform, error) {
+	params := daggen.LargeParams()
+	params.Size = c.Size
+	g, err := daggen.Generate(params, 7)
+	if err != nil {
+		return nil, memsched.Platform{}, err
+	}
+	p := experiments.RandomPlatform()
+	_, peak, err := experiments.HEFTReference(context.Background(), g, p, 7)
+	if err != nil {
+		return nil, memsched.Platform{}, err
+	}
+	bound := int64(c.Alpha * float64(peak))
+	sess, err := memsched.NewSession(g)
+	if err != nil {
+		return nil, memsched.Platform{}, err
+	}
+	return sess, multi.FromDualPlatform(p.WithBounds(bound, bound)), nil
+}
+
 // runMulti measures the generalised k-pool engine (or its eager reference
 // oracle) on the shared deterministic fixture, holding one cache set across
 // iterations as a k-pool session would.
 func runMulti(c Case) (Result, error) {
 	ctx := context.Background()
-	params := daggen.LargeParams()
-	params.Size = c.Size
-	g, err := daggen.Generate(params, 7)
+	in, p, err := multiFixture(c)
 	if err != nil {
 		return Result{}, err
 	}
-	in, p := experiments.KPoolBench(g, c.Pools, c.Alpha)
 	var fn multi.Func
 	var caches *multi.Caches
 	switch {
@@ -227,6 +244,55 @@ func runMulti(c Case) (Result, error) {
 	if schedErr != nil {
 		return Result{}, schedErr
 	}
+	return toResult(br), nil
+}
+
+// multiFixture returns the instance and platform of a k-pool case.
+func multiFixture(c Case) (*multi.Instance, multi.Platform, error) {
+	params := daggen.LargeParams()
+	params.Size = c.Size
+	g, err := daggen.Generate(params, 7)
+	if err != nil {
+		return nil, multi.Platform{}, err
+	}
+	in, p := experiments.KPoolBench(g, c.Pools, c.Alpha)
+	return in, p, nil
+}
+
+// runPeaks computes the MemHEFT schedule of a case's fixture once — through
+// the Session on the dual path, with the incremental k-pool engine when
+// Pools >= 2 — and measures MemoryPeaks alone on it, the same workload as
+// BenchmarkPeaks* in bench_test.go.
+func runPeaks(c Case) (Result, error) {
+	ctx := context.Background()
+	var peaks func()
+	if c.Pools >= 2 {
+		in, p, err := multiFixture(c)
+		if err != nil {
+			return Result{}, err
+		}
+		s, err := multi.MemHEFT(ctx, in, p, multi.Options{Seed: 7})
+		if err != nil {
+			return Result{}, err
+		}
+		peaks = func() { s.MemoryPeaks() }
+	} else {
+		sess, pp, err := dualFixture(c)
+		if err != nil {
+			return Result{}, err
+		}
+		res, err := sess.Schedule(ctx, pp, memsched.WithSeed(7))
+		if err != nil {
+			return Result{}, err
+		}
+		peaks = func() { res.Schedule.MemoryPeaks() }
+	}
+	br := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			peaks()
+		}
+	})
 	return toResult(br), nil
 }
 

@@ -6,10 +6,12 @@ import (
 	"sort"
 
 	"repro/internal/dag"
+	"repro/internal/schedule"
 )
 
-// Eps is the float tolerance for event-time comparisons.
-const Eps = 1e-9
+// Eps is the float tolerance for event-time comparisons, the one the
+// dual-memory model uses.
+const Eps = schedule.Eps
 
 // Placement records where and when one task runs.
 type Placement struct {
@@ -110,33 +112,18 @@ func (s *Schedule) residencies() []residency {
 	return rs
 }
 
-// MemoryPeaks returns the peak usage of every pool.
+// MemoryPeaks returns the peak usage of every pool: the largest usage at
+// any instant a file is acquired, under the tie rule of schedule.Peaks — a
+// file counts at t when it is acquired by t+Eps and released after t+Eps,
+// the rule Validate applies — so the result does not depend on the order of
+// the graph's edges.
 func (s *Schedule) MemoryPeaks() []int64 {
-	type event struct {
-		t     float64
-		delta int64
+	spans := make([]schedule.Span, len(s.Tasks))
+	for i := range s.Tasks {
+		id := dag.TaskID(i)
+		spans[i] = schedule.Span{Pool: s.PoolOf(id), Start: s.Tasks[i].Start, Finish: s.Finish(id)}
 	}
-	evs := make([][]event, s.Platform.NumPools())
-	for _, r := range s.residencies() {
-		evs[r.pool] = append(evs[r.pool], event{r.from, r.size}, event{r.to, -r.size})
-	}
-	peaks := make([]int64, s.Platform.NumPools())
-	for k := range evs {
-		sort.Slice(evs[k], func(i, j int) bool {
-			if math.Abs(evs[k][i].t-evs[k][j].t) > Eps {
-				return evs[k][i].t < evs[k][j].t
-			}
-			return evs[k][i].delta < evs[k][j].delta
-		})
-		var cur int64
-		for _, e := range evs[k] {
-			cur += e.delta
-			if cur > peaks[k] {
-				peaks[k] = cur
-			}
-		}
-	}
-	return peaks
+	return schedule.Peaks(s.Inst.G, spans, s.CommStart, s.Platform.NumPools())
 }
 
 // Validate checks completeness, flow, resource and per-pool memory
@@ -198,7 +185,7 @@ func (s *Schedule) Validate() error {
 	for _, r := range rs {
 		var usage int64
 		for _, o := range rs {
-			if o.pool == r.pool && o.from <= r.from+Eps && r.from < o.to-Eps {
+			if o.pool == r.pool && schedule.Live(o.from, o.to, r.from) {
 				usage += o.size
 			}
 		}

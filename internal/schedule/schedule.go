@@ -152,42 +152,36 @@ func (s *Schedule) residencies() []residency {
 }
 
 // MemoryPeaks returns the peak usage of the blue and red memories over the
-// whole schedule (the paper's Ms_blue and Ms_red).
+// whole schedule (the paper's Ms_blue and Ms_red): the largest usage at any
+// instant a file is acquired, under the tie rule of Peaks — a file counts at
+// t when it is acquired by t+Eps and released after t+Eps, the rule UsageAt
+// and Validate apply — so the result does not depend on the order of the
+// graph's edges.
 func (s *Schedule) MemoryPeaks() (blue, red int64) {
-	type event struct {
-		t     float64
-		delta int64
+	spans := make([]Span, len(s.Tasks))
+	for i := range s.Tasks {
+		id := dag.TaskID(i)
+		spans[i] = Span{Pool: int(s.MemoryOf(id)), Start: s.Tasks[i].Start, Finish: s.Finish(id)}
 	}
-	var evs [2][]event
-	for _, r := range s.residencies() {
-		evs[r.mem] = append(evs[r.mem], event{r.from, r.size}, event{r.to, -r.size})
-	}
-	peaks := [2]int64{}
-	for m := range evs {
-		sort.Slice(evs[m], func(i, j int) bool {
-			ti, tj := evs[m][i].t, evs[m][j].t
-			if math.Abs(ti-tj) > Eps {
-				return ti < tj
-			}
-			return evs[m][i].delta < evs[m][j].delta // releases before acquisitions
-		})
-		var cur int64
-		for _, e := range evs[m] {
-			cur += e.delta
-			if cur > peaks[m] {
-				peaks[m] = cur
-			}
-		}
-	}
-	return peaks[0], peaks[1]
+	peaks := Peaks(s.Graph, spans, s.CommStart, 2)
+	return peaks[platform.Blue], peaks[platform.Red]
 }
 
-// UsageAt returns the amount of memory m occupied at time t (files whose
-// residency interval contains t, intervals being half-open [from, to)).
+// Live reports whether a file resident on the half-open interval [from, to)
+// occupies its memory at time t: it is acquired by t+Eps and not released
+// by t+Eps. Every memory check of the model — UsageAt, Validate and Peaks —
+// applies this one rule.
+func Live(from, to, t float64) bool {
+	x := t + Eps
+	return from <= x && to > x
+}
+
+// UsageAt returns the amount of memory m occupied at time t: the files whose
+// residency is Live at t.
 func (s *Schedule) UsageAt(m platform.Memory, t float64) int64 {
 	var sum int64
 	for _, r := range s.residencies() {
-		if r.mem == m && r.from <= t+Eps && t < r.to-Eps {
+		if r.mem == m && Live(r.from, r.to, t) {
 			sum += r.size
 		}
 	}
@@ -272,7 +266,7 @@ func (s *Schedule) Validate() error {
 	for _, r := range rs {
 		var usage int64
 		for _, o := range rs {
-			if o.mem == r.mem && o.from <= r.from+Eps && r.from < o.to-Eps {
+			if o.mem == r.mem && Live(o.from, o.to, r.from) {
 				usage += o.size
 			}
 		}

@@ -762,9 +762,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 	s.candidateHits.Add(res.Stats.CacheHits)
 	s.candidateMiss.Add(res.Stats.CacheMisses)
 
-	// PeakResidency scans every file residency interval (O(E log E) on a
-	// cold result) — real time the engine span does not cover, so it gets
-	// its own.
+	// PeakResidency sorts and sweeps the schedule's folded file events,
+	// about 2n + 2·(cross edges) of them, on a cold result — real time the
+	// engine span does not cover, so it gets its own.
 	endFinalize := trace.Start(r.Context(), "finalize")
 	resp := ScheduleResponse{
 		GraphID:       sess.GraphHash(),

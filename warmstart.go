@@ -44,10 +44,10 @@ func ReplayableScheduler(name string) bool {
 // private clone of the schedule it produced with its makespan, and the peak
 // memory residencies of that schedule. When a later run replays the complete
 // trace its schedule is bit-identical to the recorded one, so the stored
-// peaks let it skip the O(E log E) MemoryPeaks scan; when the trace's fit
-// margins prove the whole replay up front (Trace.FullReplayOn), the stored
-// schedule is cloned out directly and the engine never runs. All fields are
-// immutable once stored.
+// peaks let it skip the MemoryPeaks sweep, a sort of about 2n + 2·(cross
+// edges) folded file events; when the trace's fit margins prove the whole
+// replay up front (Trace.FullReplayOn), the stored schedule is cloned out
+// directly and the engine never runs. All fields are immutable once stored.
 type dualWarm struct {
 	trace    *core.Trace
 	sched    *Schedule // private clone; never handed out directly
