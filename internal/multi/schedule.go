@@ -181,8 +181,13 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
+	// Memory is checked where schedule.Peaks evaluates it: at the start of
+	// every residency with from <= to.
 	rs := s.residencies()
 	for _, r := range rs {
+		if !(r.from <= r.to) {
+			continue
+		}
 		var usage int64
 		for _, o := range rs {
 			if o.pool == r.pool && schedule.Live(o.from, o.to, r.from) {

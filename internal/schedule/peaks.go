@@ -1,9 +1,7 @@
 package schedule
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"repro/internal/dag"
 )
@@ -32,7 +30,8 @@ type Span struct {
 // consumer's finish sized by its input files, and for every cross edge an
 // acquisition at tau on the consumer's pool and a release at tau+Comm on
 // the producer's pool. A residency with from > to is never live and is
-// left out. Because every kept residency has from <= to, the usage at t is
+// left out; Validate does not check its start either. Because every kept
+// residency has from <= to, the usage at t is
 // A(t+Eps) - R(t+Eps), where A and R sum the acquisitions and releases at
 // or before an instant, and one sweep over the two time-sorted event lists
 // evaluates it at every acquisition. That sorts about 2n + 2·(cross edges)
@@ -136,18 +135,13 @@ func sweepPeak(acq, rel []event) int64 {
 	return peak
 }
 
-// radixMin is the length below which sortByTime uses a comparison sort: an
-// LSD radix pass costs a 256-bucket prefix sum whatever the input length.
-const radixMin = 256
-
 // sortByTime sorts evs by time and returns the sorted slice together with
 // the scratch buffer for the next call; the result aliases either evs or
-// buf. Long inputs take a least-significant-digit radix sort, one byte per
-// pass, on the order-preserving uint64 image of the times, skipping every
-// pass whose byte is the same for all events. Times must not be NaN.
+// buf. It is a least-significant-digit radix sort, one byte per pass, on
+// the order-preserving uint64 image of the times, skipping every pass whose
+// byte is the same for all events. Times must not be NaN.
 func sortByTime(evs, buf []event) (sorted, scratch []event) {
-	if len(evs) < radixMin {
-		slices.SortFunc(evs, func(a, b event) int { return cmp.Compare(a.t, b.t) })
+	if len(evs) == 0 {
 		return evs, buf
 	}
 	var counts [8][256]int

@@ -260,10 +260,15 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
-	// Memory constraints. Usage only increases when a residency interval
-	// opens, so checking at every interval start is exact.
+	// Memory constraints, checked at every instant a file is acquired:
+	// the start of every residency with from <= to (one that ends before
+	// it starts is never Live and acquires nothing). These are the instants
+	// Peaks evaluates, so the peaks are the tightest capacities accepted.
 	rs := s.residencies()
 	for _, r := range rs {
+		if !(r.from <= r.to) {
+			continue
+		}
 		var usage int64
 		for _, o := range rs {
 			if o.mem == r.mem && Live(o.from, o.to, r.from) {

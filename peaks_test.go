@@ -68,6 +68,63 @@ func TestMemoryPeaksIndependentOfEdgeOrder(t *testing.T) {
 	}
 }
 
+// TestPeaksAreTightWithNeverLiveResidency checks that the peaks are the
+// tightest capacities Validate accepts on a valid schedule holding a
+// residency that ends before it starts. Every task has its own blue
+// processor. Task 0 (start 0, no work) holds 5 units until task 1 finishes
+// at 1.6e-9; task 2 (start 1.2e-9, no work) holds 3 until task 3 finishes
+// after 1; task 4 starts at 0.5e-9 and feeds 1 unit to task 5, which
+// finishes at 0 — within Eps before, so precedence holds — leaving the
+// residency [0.5e-9, 0), which is never Live. Files are acquired at 0
+// (usage 5) and at 1.2e-9 (usage 3, the 5 being freed by then), so the
+// peak is 5, and Validate must accept a capacity of 5 on the dual and the
+// 2-pool schedule alike, although usage at 0.5e-9, no acquisition instant,
+// is 8.
+func TestPeaksAreTightWithNeverLiveResidency(t *testing.T) {
+	work := []float64{0, 1.6e-9, 0, 1, 0, 0}
+	starts := []float64{0, 0, 1.2e-9, 1.2e-9, 0.5e-9, 0}
+	g := dag.New()
+	for i, w := range work {
+		g.AddTask(fmt.Sprint("t", i), w, w)
+	}
+	g.MustAddEdge(0, 1, 5, 1)
+	g.MustAddEdge(2, 3, 3, 1)
+	g.MustAddEdge(4, 5, 1, 1)
+	at := func(capacity int64) (*Schedule, *PoolSchedule) {
+		p := platform.New(len(work), 0, capacity, 0)
+		s := schedule.New(g, p)
+		ms := multi.NewSchedule(multi.FromDual(g), multi.FromDualPlatform(p))
+		for i, st := range starts {
+			s.Tasks[i] = schedule.TaskPlacement{Start: st, Proc: i}
+			ms.Tasks[i] = multi.Placement{Start: st, Proc: i}
+		}
+		return s, ms
+	}
+	s, ms := at(5)
+	if u := s.UsageAt(Blue, 0.5e-9); u != 8 {
+		t.Fatalf("blue usage at 0.5e-9 = %d, want 8", u)
+	}
+	if blue, red := s.MemoryPeaks(); blue != 5 || red != 0 {
+		t.Fatalf("dual peaks = (%d,%d), want (5,0)", blue, red)
+	}
+	if got := ms.MemoryPeaks(); !slices.Equal(got, []int64{5, 0}) {
+		t.Fatalf("2-pool peaks = %v, want [5 0]", got)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("dual rejected at its peak: %v", err)
+	}
+	if err := ms.Validate(); err != nil {
+		t.Fatalf("2-pool rejected at its peak: %v", err)
+	}
+	s, ms = at(4)
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "over capacity") {
+		t.Fatalf("dual at capacity 4: Validate = %v", err)
+	}
+	if err := ms.Validate(); err == nil || !strings.Contains(err.Error(), "over capacity") {
+		t.Fatalf("2-pool at capacity 4: Validate = %v", err)
+	}
+}
+
 // TestMemoryPeaksMatchLiveRule is the property test of the peak sweep over
 // every schedule producer: both engines under the four list schedulers,
 // the insertion policy, descending-capacity warm-start chains (replayed and
