@@ -7,10 +7,17 @@ package memsched_test
 // `go run ./cmd/experiments -scale full` for the paper-scale campaign.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	memsched "repro"
+	"repro/cluster"
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/daggen"
@@ -22,6 +29,7 @@ import (
 	"repro/internal/multi"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/serve"
 	"repro/sweep"
 )
 
@@ -343,6 +351,81 @@ func benchFork(b *testing.B, opts ...memsched.ForkOption) {
 
 func BenchmarkForkWarm1000(b *testing.B) { benchFork(b) }
 func BenchmarkForkCold1000(b *testing.B) { benchFork(b, memsched.ForkCold()) }
+
+// --- Inline requests through the service tiers ---
+
+// inlineBody is a POST /v1/schedule body carrying a daggen n=1000 graph
+// inline on an unbounded 2+2-processor platform.
+func inlineBody(b *testing.B) []byte {
+	params := daggen.LargeParams()
+	params.Size = 1000
+	g, err := daggen.Generate(params, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := json.Marshal(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(serve.ScheduleRequest{Graph: raw, Pools: []serve.PoolSpec{{Procs: 2}, {Procs: 2}}, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// stubReplica answers every forwarded request with an empty 200, so a
+// router benchmark times the router alone.
+type stubReplica struct{}
+
+func (stubReplica) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		_, _ = io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{"Content-Type": {"application/json"}},
+		Body: io.NopCloser(strings.NewReader("{}")), Request: r}, nil
+}
+
+// benchInline serves the inline body through h once untimed (warming
+// every cache a repeated request would find warm), then measures one
+// request per iteration.
+func benchInline(b *testing.B, h http.Handler) {
+	body := inlineBody(b)
+	serveOnce := func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+	serveOnce()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveOnce()
+	}
+}
+
+// BenchmarkRouterInline1000 measures a warm inline request through a
+// cluster router over three stub replicas: body read, routing key and
+// forward, without the replica's own work.
+func BenchmarkRouterInline1000(b *testing.B) {
+	rt, err := cluster.NewRouter(cluster.Config{
+		Replicas:  []cluster.Replica{{ID: "r0", URL: "http://r0"}, {ID: "r1", URL: "http://r1"}, {ID: "r2", URL: "http://r2"}},
+		Transport: stubReplica{},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchInline(b, rt.Handler())
+}
+
+// BenchmarkReplicaInline1000 measures the same warm inline request served
+// by one replica: decode, session resolve, schedule and encode.
+func BenchmarkReplicaInline1000(b *testing.B) {
+	benchInline(b, serve.NewServer(serve.Config{}).Handler())
+}
 
 // --- Ablations (design choices called out in DESIGN.md) ---
 

@@ -92,9 +92,10 @@ func sortedKeys(mm map[string]uint64) []string {
 	return keys
 }
 
-// render writes the full router exposition; shares, statuses and loads
-// carry the ring, health and in-flight state owned by the Router.
-func (m *routerMetrics) render(w *strings.Builder, shares map[string]float64, statuses []ReplicaStatus, loads map[string]int64, inFlight int64, uptime time.Duration) {
+// render writes the full router exposition; shares, statuses, loads and
+// digests carry the ring, health, in-flight and routing-memo state owned
+// by the Router.
+func (m *routerMetrics) render(w *strings.Builder, shares map[string]float64, statuses []ReplicaStatus, loads map[string]int64, digests *serve.DigestMemo, inFlight int64, uptime time.Duration) {
 	counter := func(name, help string) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 	}
@@ -144,6 +145,11 @@ func (m *routerMetrics) render(w *strings.Builder, shares map[string]float64, st
 	fmt.Fprintf(w, "memschedd_router_rate_limited_total %d\n", m.rateLimited.Load())
 	counter("memschedd_router_shed_total", "Requests refused by the router's concurrency limit (429, code \"shed\").")
 	fmt.Fprintf(w, "memschedd_router_shed_total %d\n", m.shed.Load())
+	hits, misses := digests.Counts()
+	counter("memschedd_router_inline_digest_hits_total", "Inline-graph requests routed by the digest memo of their graph bytes.")
+	fmt.Fprintf(w, "memschedd_router_inline_digest_hits_total %d\n", hits)
+	counter("memschedd_router_inline_digest_misses_total", "Inline-graph requests routed by a cold serve.RoutingKey: graph bytes not in the digest memo, or a body the byte scan leaves to encoding/json.")
+	fmt.Fprintf(w, "memschedd_router_inline_digest_misses_total %d\n", misses)
 
 	gauge("memschedd_router_replica_healthy", "1 while the replica passes health checks, by replica.")
 	for _, st := range statuses {
@@ -191,7 +197,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		loads[id] = l.Load()
 	}
 	var b strings.Builder
-	rt.prom.render(&b, rt.ring.Shares(), rt.health.Snapshot(), loads, rt.inFlight.Load(), time.Since(rt.start))
+	rt.prom.render(&b, rt.ring.Shares(), rt.health.Snapshot(), loads, rt.digests, rt.inFlight.Load(), time.Since(rt.start))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))
 }

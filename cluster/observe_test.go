@@ -202,3 +202,72 @@ func TestClusterFailoverSuffix(t *testing.T) {
 		t.Fatalf("no surviving replica saw the -f1 suffixed id %s-f1", reqID)
 	}
 }
+
+// TestRouterInlineDigestMemo sends one inline graph through the router
+// twice, then twice more re-serialised: every answer comes from the
+// graph's owner with its canonical id, and both tiers count one digest
+// miss per encoding and one hit per repeat on /metrics.
+func TestRouterInlineDigestMemo(t *testing.T) {
+	ids := []string{"a", "b", "c"}
+	_, _, routerURL, reps := startCluster(t, ids, nil, cluster.Config{})
+	raw, err := json.Marshal(randGraph(t, 40, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, raw, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	want, err := serve.GraphKey(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := ownerOf(t, ids, want)
+	for i, graph := range [][]byte{raw, raw, spaced.Bytes(), spaced.Bytes()} {
+		body, err := json.Marshal(serve.ScheduleRequest{Graph: graph, Pools: []serve.PoolSpec{{Procs: 2}, {Procs: 2}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// json.Marshal compacts a RawMessage; splice the graph bytes in
+		// verbatim so the re-spaced encoding reaches the wire.
+		body = bytes.Replace(body, compact(t, graph), graph, 1)
+		resp, err := http.Post(routerURL+"/v1/schedule", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got serve.ScheduleResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d, %v", i, resp.StatusCode, err)
+		}
+		if got.GraphID != want || got.SessionCached != (i > 0) {
+			t.Fatalf("request %d: graph %s cached %v, want %s cached %v", i, got.GraphID, got.SessionCached, want, i > 0)
+		}
+	}
+	for _, name := range []string{"memschedd_router_inline_digest_hits_total", "memschedd_router_inline_digest_misses_total"} {
+		if n := scrapeMetric(t, routerURL, name, ""); n != 2 {
+			t.Fatalf("router %s = %g, want 2", name, n)
+		}
+	}
+	for id, rep := range reps {
+		wantN := 0.0
+		if id == owner {
+			wantN = 2
+		}
+		for _, name := range []string{"memschedd_inline_digest_hits_total", "memschedd_inline_digest_misses_total"} {
+			if n := scrapeMetric(t, rep.ts.URL, name, ""); n != wantN {
+				t.Fatalf("replica %s %s = %g, want %g", id, name, n, wantN)
+			}
+		}
+	}
+}
+
+func compact(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Compact(&b, raw); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}

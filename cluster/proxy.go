@@ -114,13 +114,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// routingMemoEntries bounds the router's digest memo of inline graph
+// bytes. An entry is a 32-byte digest plus a 64-byte key, so the memo
+// stays around a megabyte while covering the default session caches of
+// sixteen replicas.
+const routingMemoEntries = 4096
+
 // Router is the cluster's cache-affinity reverse proxy: one address that
 // shards /v1 traffic across a memschedd replica set by canonical graph
 // hash over a consistent-hash ring.
 //
 // Routing policy, in order:
 //
-//   - The request's key (serve.RoutingKey) picks its ring owner; requests
+//   - The request's key (serve.RoutingKey, behind a serve.DigestMemo of
+//     the inline graphs already keyed) picks its ring owner; requests
 //     with no extractable key (invalid bodies, plain GETs) round-robin
 //     over routable replicas instead.
 //   - Bounded load: an owner already carrying more than LoadFactor times
@@ -147,6 +154,7 @@ type Router struct {
 	urls     map[string]string // replica id → base URL
 	health   *Health
 	prom     *routerMetrics
+	digests  *serve.DigestMemo        // inline graph bytes → routing key
 	load     map[string]*atomic.Int64 // in-flight forwards by replica id
 	inFlight atomic.Int64
 	client   *http.Client
@@ -178,15 +186,16 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	rt := &Router{
-		cfg:    cfg,
-		ring:   rg,
-		urls:   urls,
-		health: NewHealth(cfg.Replicas, cfg.Health),
-		prom:   newRouterMetrics(),
-		load:   load,
-		client: &http.Client{Transport: cfg.Transport},
-		start:  time.Now(),
-		ready:  make(chan struct{}),
+		cfg:     cfg,
+		ring:    rg,
+		urls:    urls,
+		health:  NewHealth(cfg.Replicas, cfg.Health),
+		prom:    newRouterMetrics(),
+		digests: serve.NewDigestMemo(routingMemoEntries),
+		load:    load,
+		client:  &http.Client{Transport: cfg.Transport},
+		start:   time.Now(),
+		ready:   make(chan struct{}),
 	}
 	rt.handler = rt.buildHandler()
 	return rt, nil
@@ -340,8 +349,9 @@ func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
 	}
 	// An unextractable key (malformed body, invalid graph) still
 	// forwards — unrouted — so the serving replica produces the
-	// structured 4xx the client expects.
-	key, portable, _ := serve.RoutingKey(body)
+	// structured 4xx the client expects. An inline graph whose bytes were
+	// keyed before skips the decode: the memo hashes the bytes instead.
+	key, portable, _ := rt.digests.RoutingKey(body)
 	if r.URL.Path == "/v1/graphs" {
 		// Registration creates the replica-local session future graph_id
 		// requests route to by this same key; spilling it to a

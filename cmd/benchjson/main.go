@@ -7,7 +7,9 @@
 // so the numbers include the session indirection real callers pay, and the
 // k-pool suite (n = 300/1000/3000 at k = 3/4/8, plus the retained eager
 // oracle at n = 1000, k = 4) tracks the generalised engine against its
-// reference.
+// reference. RouterInline1000 and ReplicaInline1000 time one warm inline
+// POST /v1/schedule (a 1000-task graph re-sent in the body) through a
+// cluster router over stub replicas and through one replica.
 //
 // Usage:
 //

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestRunSuiteTiny runs the harness on tiny dual, k-pool and peak cases
+// TestRunSuiteTiny runs the harness on tiny dual, k-pool, peak and inline cases
 // and checks the report is well-formed JSON with sane numbers.
 func TestRunSuiteTiny(t *testing.T) {
 	rep, err := runSuite([]Case{
@@ -17,11 +17,13 @@ func TestRunSuiteTiny(t *testing.T) {
 		{Name: "tiny-k3-ref", Scheduler: "memheft", Size: 30, Alpha: 0.5, Pools: 3, Ref: true},
 		{Name: "tiny-peaks", Size: 30, Alpha: 0.8, Peaks: true},
 		{Name: "tiny-peaks-k3", Size: 30, Alpha: 0.5, Pools: 3, Peaks: true},
+		{Name: "tiny-router", Size: 30, Inline: "router"},
+		{Name: "tiny-replica", Size: 30, Inline: "replica"},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"tiny", "tiny-k3", "tiny-k3-ref", "tiny-peaks", "tiny-peaks-k3"} {
+	for _, name := range []string{"tiny", "tiny-k3", "tiny-k3-ref", "tiny-peaks", "tiny-peaks-k3", "tiny-router", "tiny-replica"} {
 		r, ok := rep.Benchmarks[name]
 		if !ok || r.NsPerOp <= 0 || r.Iterations <= 0 {
 			t.Fatalf("malformed result for %s: %+v", name, rep)

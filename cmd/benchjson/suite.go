@@ -1,15 +1,23 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
 	memsched "repro"
+	"repro/cluster"
 	"repro/internal/daggen"
 	"repro/internal/experiments"
 	"repro/internal/multi"
+	"repro/serve"
 	"repro/sweep"
 )
 
@@ -22,7 +30,9 @@ import (
 // the given worker bound (0 = GOMAXPROCS) and replay policy; fork cases
 // (Fork != "") measure Session.Fork plus one schedule on the fork; peak
 // cases (Peaks == true) schedule the dual or k-pool fixture once and
-// measure MemoryPeaks on the result.
+// measure MemoryPeaks on the result; inline cases (Inline != "") serve a
+// warm POST /v1/schedule carrying the graph inline through a cluster
+// router over stub replicas ("router") or one replica ("replica").
 type Case struct {
 	Name      string
 	Scheduler string // registry name passed to WithScheduler
@@ -35,6 +45,7 @@ type Case struct {
 	Replay    string // sweep replay policy; "" keeps the engine default (auto)
 	Fork      string // "warm" or "cold": benchmark Fork()+Schedule instead
 	Peaks     bool   // benchmark MemoryPeaks on one fixed schedule instead
+	Inline    string // "router" or "replica": benchmark one inline request instead
 }
 
 // defaultCases is the tracked suite.
@@ -73,6 +84,12 @@ func defaultCases() []Case {
 		// every response pays after the engine.
 		{Name: "Peaks3000", Size: 3000, Alpha: 0.7, Peaks: true},
 		{Name: "PeaksK4x1000", Size: 1000, Alpha: 0.3, Pools: 4, Peaks: true},
+		// Inline requests: a warm POST /v1/schedule re-sending a daggen
+		// n=1000 graph inline, through a router over three stub replicas
+		// (the routing key alone) and through one replica (decode,
+		// session resolve, schedule, encode).
+		{Name: "RouterInline1000", Size: 1000, Inline: "router"},
+		{Name: "ReplicaInline1000", Size: 1000, Inline: "replica"},
 	}
 }
 
@@ -81,6 +98,8 @@ func defaultCases() []Case {
 // testing.Benchmark self-calibrates the iteration count.
 func run(c Case) (Result, error) {
 	switch {
+	case c.Inline != "":
+		return runInline(c)
 	case c.Peaks:
 		return runPeaks(c)
 	case c.Fork != "":
@@ -294,6 +313,80 @@ func runPeaks(c Case) (Result, error) {
 		}
 	})
 	return toResult(br), nil
+}
+
+// runInline measures one warm inline POST /v1/schedule per iteration —
+// the same workload as BenchmarkRouterInline1000 and
+// BenchmarkReplicaInline1000 in bench_test.go. One untimed request warms
+// every cache a repeated request finds warm.
+func runInline(c Case) (Result, error) {
+	params := daggen.LargeParams()
+	params.Size = c.Size
+	g, err := daggen.Generate(params, 7)
+	if err != nil {
+		return Result{}, err
+	}
+	raw, err := json.Marshal(g)
+	if err != nil {
+		return Result{}, err
+	}
+	body, err := json.Marshal(serve.ScheduleRequest{Graph: raw, Pools: []serve.PoolSpec{{Procs: 2}, {Procs: 2}}, Seed: 7})
+	if err != nil {
+		return Result{}, err
+	}
+	var h http.Handler
+	switch c.Inline {
+	case "router":
+		rt, err := cluster.NewRouter(cluster.Config{
+			Replicas:  []cluster.Replica{{ID: "r0", URL: "http://r0"}, {ID: "r1", URL: "http://r1"}, {ID: "r2", URL: "http://r2"}},
+			Transport: stubReplica{},
+		})
+		if err != nil {
+			return Result{}, err
+		}
+		h = rt.Handler()
+	case "replica":
+		h = serve.NewServer(serve.Config{}).Handler()
+	default:
+		return Result{}, fmt.Errorf("unknown inline tier %q", c.Inline)
+	}
+	serveOnce := func() error {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			return fmt.Errorf("status %d: %s", w.Code, w.Body)
+		}
+		return nil
+	}
+	if err := serveOnce(); err != nil {
+		return Result{}, err
+	}
+	var reqErr error
+	br := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if reqErr = serveOnce(); reqErr != nil {
+				b.FailNow()
+			}
+		}
+	})
+	if reqErr != nil {
+		return Result{}, reqErr
+	}
+	return toResult(br), nil
+}
+
+// stubReplica answers every forwarded request with an empty 200, so the
+// router case times the router alone.
+type stubReplica struct{}
+
+func (stubReplica) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		_, _ = io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{"Content-Type": {"application/json"}},
+		Body: io.NopCloser(strings.NewReader("{}")), Request: r}, nil
 }
 
 func toResult(br testing.BenchmarkResult) Result {

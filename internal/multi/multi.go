@@ -199,6 +199,18 @@ func (in *Instance) Validate(p Platform) error {
 	return in.validateMatrix(p.NumPools())
 }
 
+// ValidateMatrix checks the timing matrix on its own, at the width of its
+// first row: one row per task, every row that wide, no negative time. A
+// matrix that passes schedules on every platform with that many pools;
+// one that fails schedules on none.
+func (in *Instance) ValidateMatrix() error {
+	width := 0
+	if len(in.Times) > 0 {
+		width = len(in.Times[0])
+	}
+	return in.validateMatrix(width)
+}
+
 // validateMatrix is the timing-matrix half of Validate, split out so the
 // session cache layer can memoize it per pool count.
 func (in *Instance) validateMatrix(nPools int) error {
@@ -228,8 +240,11 @@ func (in *Instance) MeanRanks(ctx context.Context) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	nPools := len(in.Times[0])
 	rank := make([]float64, in.G.NumTasks())
+	if len(rank) == 0 {
+		return rank, nil
+	}
+	nPools := len(in.Times[0])
 	for step, id := range rev {
 		if ctx != nil && step%rankStride == 0 {
 			if err := ctx.Err(); err != nil {

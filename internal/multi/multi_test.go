@@ -68,6 +68,40 @@ func TestInstanceValidate(t *testing.T) {
 	if err := neg.Validate(dualPlatform(1, 1, 5, 5)); err == nil {
 		t.Fatal("negative time accepted")
 	}
+	// ValidateMatrix checks the matrix at the width of its first row.
+	if err := FromDual(g).ValidateMatrix(); err != nil {
+		t.Fatal(err)
+	}
+	ragged := FromDual(g)
+	ragged.Times[1] = ragged.Times[1][:1]
+	if err := ragged.ValidateMatrix(); err == nil {
+		t.Fatal("ragged matrix accepted")
+	}
+	if err := neg.ValidateMatrix(); err == nil {
+		t.Fatal("negative time accepted")
+	}
+}
+
+// TestEmptyGraphSchedulesOnAnyPoolCount schedules a graph without tasks:
+// its matrix has no first row to take a width from, and it fits every
+// platform, whatever the pool count.
+func TestEmptyGraphSchedulesOnAnyPoolCount(t *testing.T) {
+	in := FromDual(dag.New())
+	for k := 1; k <= 3; k++ {
+		pools := make([]Pool, k)
+		for i := range pools {
+			pools[i] = Pool{1, 0}
+		}
+		for name, fn := range map[string]Func{"memheft": MemHEFT, "memminmin": MemMinMin} {
+			s, err := fn(tctx, in, NewPlatform(pools...), Options{})
+			if err != nil {
+				t.Fatalf("%s on %d pools: %v", name, k, err)
+			}
+			if s.Makespan() != 0 {
+				t.Fatalf("%s on %d pools: makespan %g", name, k, s.Makespan())
+			}
+		}
+	}
 }
 
 func TestMeanRanksMatchDualRanks(t *testing.T) {

@@ -206,6 +206,8 @@ func (m *metrics) render(w *strings.Builder, st StatsResponse) {
 	counter("memschedd_session_cache_hits_total", "Session cache hits on the schedule path.", st.SessionHits)
 	counter("memschedd_session_cache_misses_total", "Session cache misses on the schedule path.", st.SessionMisses)
 	counter("memschedd_session_cache_evictions_total", "Sessions displaced from the full LRU cache.", st.SessionEvictions)
+	counter("memschedd_inline_digest_hits_total", "Inline graphs resolved from the digest memo of their bytes, without a rebuild.", st.InlineDigestHits)
+	counter("memschedd_inline_digest_misses_total", "Inline graphs decoded, validated and hashed because their bytes missed the digest memo or their session was evicted.", st.InlineDigestMisses)
 	counter("memschedd_candidate_cache_hits_total", "Engine candidate-memo hits, aggregated over runs.", st.CandidateHits)
 	counter("memschedd_candidate_cache_misses_total", "Engine candidate-memo misses, aggregated over runs.", st.CandidateMisses)
 	counter("memschedd_shed_total", "Requests refused by the load shedder (429, code \"shed\").", st.Shed)

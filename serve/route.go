@@ -9,9 +9,9 @@ import (
 )
 
 // ErrNoRoutingKey reports a request body that carries neither a graph id
-// nor an inline graph — nothing to route by. Such a request is invalid on
-// every replica, so a router may send it anywhere and let the replica
-// produce the structured 400.
+// nor an inline graph (a null "graph" counts as none) — nothing to route
+// by. Such a request is invalid on every replica, so a router may send it
+// anywhere and let the replica produce the structured 400.
 var ErrNoRoutingKey = errors.New("serve: request has no graph_id or graph to route by")
 
 // keyedRequest is the field subset shared by every keyed /v1 POST body
@@ -40,6 +40,11 @@ type keyedRequest struct {
 // A malformed body or an invalid graph returns an error; the caller should
 // forward such requests anyway (unrouted) so the serving replica produces
 // the structured 4xx the client expects.
+//
+// RoutingKey is the cold, stateless oracle: every call decodes the whole
+// body and rebuilds the session. DigestMemo.RoutingKey puts a memo of
+// validated graph bytes in front of it and agrees with it wherever it
+// succeeds.
 func RoutingKey(body []byte) (key string, portable bool, err error) {
 	var req keyedRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -48,7 +53,7 @@ func RoutingKey(body []byte) (key string, portable bool, err error) {
 	if req.GraphID != "" {
 		return req.GraphID, false, nil
 	}
-	if len(req.Graph) == 0 {
+	if !hasGraph(req.Graph) {
 		return "", false, ErrNoRoutingKey
 	}
 	key, err = GraphKey(req.Graph, req.Times)
@@ -58,9 +63,13 @@ func RoutingKey(body []byte) (key string, portable bool, err error) {
 // GraphKey computes the canonical content hash of an inline graph (wire
 // format of memsched.Graph) plus an optional pool-time matrix — the value
 // POST /v1/graphs would return as the graph's id. It validates the graph
-// exactly as registration would, so an invalid graph errs here instead of
-// routing.
+// exactly as registration would, so an invalid (or null) graph errs here
+// instead of routing. Like RoutingKey it is cold and stateless: it keeps
+// no memo, so every call pays the full decode, validation and hash.
 func GraphKey(raw json.RawMessage, times [][]float64) (string, error) {
+	if !hasGraph(raw) {
+		return "", ErrNoRoutingKey
+	}
 	g := memsched.NewGraph()
 	if err := json.Unmarshal(raw, g); err != nil {
 		return "", fmt.Errorf("serve: malformed graph: %w", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -30,7 +31,10 @@ type Config struct {
 	// load reports can attribute state per replica. Empty is fine for a
 	// single-node deployment (default "").
 	ReplicaID string
-	// CacheSize bounds the session LRU cache (default 256 graphs).
+	// CacheSize bounds the session LRU cache (default 256 graphs). It
+	// also bounds the inline-graph digest memo in front of that cache:
+	// one entry per distinct inline encoding seen, each naming the
+	// session its bytes validated to (see DigestMemo).
 	CacheSize int
 	// MaxInFlight bounds the number of requests concurrently doing
 	// CPU-bound work (body decode, graph validation, scheduling runs);
@@ -181,9 +185,11 @@ type Server struct {
 
 	smu      sync.Mutex
 	sessions *memo.LRU[string, *memsched.Session]
+	digests  *DigestMemo // inline graph bytes → session key
 
 	requests, scheduled           atomic.Uint64
 	sessionHits, sessionMisses    atomic.Uint64
+	digestHits, digestMisses      atomic.Uint64
 	candidateHits, candidateMiss  atomic.Uint64
 	sweepPoints                   atomic.Uint64
 	sweepReplayed, sweepTruncated atomic.Uint64
@@ -205,6 +211,7 @@ func NewServer(cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		sweepSem: make(chan struct{}, cfg.MaxSweepWorkers),
 		sessions: memo.NewLRU[string, *memsched.Session](cfg.CacheSize),
+		digests:  NewDigestMemo(cfg.CacheSize),
 		start:    time.Now(),
 		ready:    make(chan struct{}),
 		prom:     newMetrics(),
@@ -435,6 +442,8 @@ func (s *Server) Stats() StatsResponse {
 		SessionsCached:             cached,
 		SessionCapacity:            s.cfg.CacheSize,
 		SessionEvictions:           evictions,
+		InlineDigestHits:           s.digestHits.Load(),
+		InlineDigestMisses:         s.digestMisses.Load(),
 		CandidateHits:              s.candidateHits.Load(),
 		CandidateMisses:            s.candidateMiss.Load(),
 		InFlight:                   s.inFlight.Load(),
@@ -509,12 +518,18 @@ func (s *Server) releaseSweepWorkers(n int) {
 }
 
 // decodeBody decodes the JSON request body into v, reporting (status,
-// code) classified errors. The size bound itself lives in the withBodyCap
+// code) classified errors. The body must hold exactly one JSON value, as
+// for json.Unmarshal and so for RoutingKey: anything but whitespace after
+// it is malformed. The size bound itself lives in the withBodyCap
 // middleware; the *http.MaxBytesError it produces surfaces here, at the
 // first read past the cap.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		err = trailingData(dec)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
@@ -525,6 +540,19 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 		return err
 	}
 	return nil
+}
+
+// trailingData reports anything but whitespace left in dec after its
+// first value.
+func trailingData(dec *json.Decoder) error {
+	_, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err == nil, errors.As(err, new(*json.SyntaxError)):
+		return errors.New("invalid data after top-level value")
+	}
+	return err
 }
 
 // buildSession decodes an inline graph (plus optional times matrix) into a
@@ -567,6 +595,37 @@ func (s *Server) lookup(id string) (*memsched.Session, bool) {
 	return s.sessions.Get(id)
 }
 
+// inlineSession resolves an inline graph to its session, the shared path
+// of registration and of every inline request. A digest-memo hit whose
+// session is still resident returns that session without decoding the
+// graph again; anything else (unseen bytes, an evicted session) runs
+// buildSession and intern, then records the bytes' digest. cached reports
+// whether the session was already resident. Errors have been written to
+// w.
+func (s *Server) inlineSession(w http.ResponseWriter, graph json.RawMessage, times [][]float64) (sess *memsched.Session, cached, ok bool) {
+	d := digestOf(graph, times)
+	if key, hit := s.digests.get(d); hit {
+		if sess, resident := s.lookup(key); resident {
+			s.digestHits.Add(1)
+			return sess, true, true
+		}
+	}
+	built, ok := s.buildSession(w, graph, times)
+	if !ok {
+		return nil, false, false
+	}
+	sess, cached = s.intern(built)
+	s.digests.put(d, sess.GraphHash())
+	s.digestMisses.Add(1)
+	return sess, cached, true
+}
+
+// hasGraph reports whether a request carries an inline graph: a JSON null
+// counts as absent, exactly like a missing member.
+func hasGraph(raw json.RawMessage) bool {
+	return len(raw) > 0 && string(raw) != "null"
+}
+
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// Admission (the in-flight slot) happened in withAdmission: registration
 	// decodes and validates arbitrary graphs — CPU-bound work that shares
@@ -578,15 +637,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	endDecode()
-	if len(req.Graph) == 0 {
+	if !hasGraph(req.Graph) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, `missing "graph"`)
 		return
 	}
-	sess, ok := s.buildSession(w, req.Graph, req.Times)
+	sess, cached, ok := s.inlineSession(w, req.Graph, req.Times)
 	if !ok {
 		return
 	}
-	sess, cached := s.intern(sess)
 	g := sess.Graph()
 	writeJSON(w, http.StatusOK, RegisterResponse{
 		ID:     sess.GraphHash(),
@@ -599,8 +657,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 // resolveSession turns a request's graph reference (id or inline) into a
 // session, preferring a cached warm one. Errors have been written to w.
 func (s *Server) resolveSession(w http.ResponseWriter, graphID string, graph json.RawMessage, times [][]float64) (sess *memsched.Session, fromCache, ok bool) {
+	inline := hasGraph(graph)
 	switch {
-	case graphID != "" && len(graph) > 0:
+	case graphID != "" && inline:
 		writeError(w, http.StatusBadRequest, CodeBadRequest, `set exactly one of "graph_id" and "graph"`)
 		return nil, false, false
 	case graphID != "":
@@ -617,12 +676,11 @@ func (s *Server) resolveSession(w http.ResponseWriter, graphID string, graph jso
 		}
 		s.sessionHits.Add(1)
 		return sess, true, true
-	case len(graph) > 0:
-		built, ok := s.buildSession(w, graph, times)
+	case inline:
+		sess, cached, ok := s.inlineSession(w, graph, times)
 		if !ok {
 			return nil, false, false
 		}
-		sess, cached := s.intern(built)
 		if cached {
 			s.sessionHits.Add(1)
 		} else {

@@ -346,6 +346,12 @@ func TestConcurrentClients(t *testing.T) {
 	if rate := st.SessionHitRate(); rate < 0.9 {
 		t.Fatalf("session-cache hit rate %.2f, want >= 0.9", rate)
 	}
+	// Each inline request re-sends the bytes its graph was registered
+	// with, so only the registrations rebuild.
+	if st.InlineDigestMisses != nGraphs || st.InlineDigestHits != nClients*(nRequests/2) {
+		t.Fatalf("inline digest hits/misses = %d/%d, want %d/%d",
+			st.InlineDigestHits, st.InlineDigestMisses, nClients*(nRequests/2), nGraphs)
+	}
 }
 
 // TestGracefulShutdown runs the real lifecycle (listener, serve, ctx

@@ -267,6 +267,15 @@ type StatsResponse struct {
 	// the cache-pressure signal sharding the key space across replicas is
 	// supposed to reduce.
 	SessionEvictions uint64 `json:"session_cache_evictions"`
+	// InlineDigestHits counts inline graphs (register, schedule, simulate,
+	// sweep) resolved from the digest memo: the bytes matched a graph
+	// already validated and its session was still resident, so nothing
+	// was decoded or hashed again. InlineDigestMisses counts the inline
+	// graphs that were rebuilt instead — unseen bytes, or a session the
+	// cache had evicted. A client that re-serialises one graph
+	// differently on every request shows up here as misses.
+	InlineDigestHits   uint64 `json:"inline_digest_hits"`
+	InlineDigestMisses uint64 `json:"inline_digest_misses"`
 	// CandidateHits / CandidateMisses aggregate the engines' per-run
 	// candidate-memo counters (memsched.Stats.CacheHits/CacheMisses)
 	// over all runs.

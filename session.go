@@ -60,11 +60,19 @@ type SessionOption func(*Session) error
 // WithPoolTimes supplies an explicit Times[task][pool] processing-time
 // matrix, turning the session into a k-pool session: Schedule then always
 // runs the generalised engine and the platform's pool count must match the
-// matrix width. The graph's WBlue/WRed fields are ignored.
+// matrix width. The graph's WBlue/WRed fields are ignored. The matrix is
+// validated here, at the width of its first row, so a ragged or negative
+// matrix fails at creation instead of on every Schedule call.
 func WithPoolTimes(times [][]float64) SessionOption {
 	return func(s *Session) error {
 		if len(times) != s.g.NumTasks() {
 			return fmt.Errorf("memsched: pool-time matrix has %d rows for %d tasks", len(times), s.g.NumTasks())
+		}
+		if len(times) > 0 && len(times[0]) == 0 {
+			return errors.New("memsched: pool-time matrix has no pool columns")
+		}
+		if err := multi.NewInstance(s.g, times).ValidateMatrix(); err != nil {
+			return err
 		}
 		s.times = times
 		return nil
