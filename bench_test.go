@@ -387,23 +387,24 @@ func (stubReplica) RoundTrip(r *http.Request) (*http.Response, error) {
 		Body: io.NopCloser(strings.NewReader("{}")), Request: r}, nil
 }
 
-// benchInline serves the inline body through h once untimed (warming
-// every cache a repeated request would find warm), then measures one
-// request per iteration.
-func benchInline(b *testing.B, h http.Handler) {
-	body := inlineBody(b)
-	serveOnce := func() {
+// benchInline serves each body through h once untimed (warming every
+// cache a repeated request would find warm), then measures one request
+// per iteration, cycling through the bodies.
+func benchInline(b *testing.B, h http.Handler, bodies ...[]byte) {
+	serveOnce := func(body []byte) {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
 		if w.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", w.Code, w.Body)
 		}
 	}
-	serveOnce()
+	for _, body := range bodies {
+		serveOnce(body)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serveOnce()
+		serveOnce(bodies[i%len(bodies)])
 	}
 }
 
@@ -418,13 +419,31 @@ func BenchmarkRouterInline1000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchInline(b, rt.Handler())
+	benchInline(b, rt.Handler(), inlineBody(b))
 }
 
 // BenchmarkReplicaInline1000 measures the same warm inline request served
 // by one replica: decode, session resolve, schedule and encode.
 func BenchmarkReplicaInline1000(b *testing.B) {
-	benchInline(b, serve.NewServer(serve.Config{}).Handler())
+	benchInline(b, serve.NewServer(serve.Config{}).Handler(), inlineBody(b))
+}
+
+// BenchmarkReplicaInlineMiss1000 alternates two encodings of the same
+// inline graph through a replica that keeps one digest and one session:
+// every request misses the digest memo, so it decodes, validates and
+// hashes the graph, then finds its session warm.
+func BenchmarkReplicaInlineMiss1000(b *testing.B) {
+	body := inlineBody(b)
+	var req serve.ScheduleRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		b.Fatal(err)
+	}
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, req.Graph, "", " "); err != nil {
+		b.Fatal(err)
+	}
+	respaced := bytes.Replace(body, req.Graph, spaced.Bytes(), 1)
+	benchInline(b, serve.NewServer(serve.Config{CacheSize: 1}).Handler(), body, respaced)
 }
 
 // --- Ablations (design choices called out in DESIGN.md) ---

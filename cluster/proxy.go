@@ -333,10 +333,11 @@ func (rt *Router) Handler() http.Handler { return rt.handler }
 // embedders that run their own probe loop).
 func (rt *Router) Health() *Health { return rt.health }
 
-// handleKeyed proxies one /v1 POST: read the (bounded) body so it can be
-// replayed across failover attempts, extract the affinity key, forward.
+// handleKeyed proxies one /v1 POST: read the (bounded) body once, into a
+// buffer sized from its Content-Length, so it can be replayed across
+// failover attempts; extract the affinity key; forward.
 func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := serve.ReadRequestBody(r, rt.cfg.MaxRequestBytes)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -548,6 +549,12 @@ var hopHeaders = map[string]bool{
 	"Transfer-Encoding": true, "Upgrade": true,
 }
 
+// relayBufs recycles relay's 32 KiB copy buffers across responses.
+var relayBufs = sync.Pool{New: func() any {
+	buf := make([]byte, 32<<10)
+	return &buf
+}}
+
 // relay streams resp to the client, flushing after every chunk so
 // NDJSON sweep records are delivered as the replica emits them, never
 // buffered whole. A mid-stream upstream failure surfaces as a truncated
@@ -571,7 +578,9 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	bp := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(bp)
+	buf := *bp
 	for {
 		n, err := resp.Body.Read(buf)
 		if n > 0 {

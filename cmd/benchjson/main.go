@@ -9,7 +9,9 @@
 // oracle at n = 1000, k = 4) tracks the generalised engine against its
 // reference. RouterInline1000 and ReplicaInline1000 time one warm inline
 // POST /v1/schedule (a 1000-task graph re-sent in the body) through a
-// cluster router over stub replicas and through one replica.
+// cluster router over stub replicas and through one replica;
+// ReplicaInlineMiss1000 re-sends the graph in two alternating encodings,
+// so every request misses the replica's digest memo.
 //
 // Usage:
 //

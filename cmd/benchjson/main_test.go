@@ -19,11 +19,12 @@ func TestRunSuiteTiny(t *testing.T) {
 		{Name: "tiny-peaks-k3", Size: 30, Alpha: 0.5, Pools: 3, Peaks: true},
 		{Name: "tiny-router", Size: 30, Inline: "router"},
 		{Name: "tiny-replica", Size: 30, Inline: "replica"},
+		{Name: "tiny-replica-miss", Size: 30, Inline: "replica-miss"},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"tiny", "tiny-k3", "tiny-k3-ref", "tiny-peaks", "tiny-peaks-k3", "tiny-router", "tiny-replica"} {
+	for _, name := range []string{"tiny", "tiny-k3", "tiny-k3-ref", "tiny-peaks", "tiny-peaks-k3", "tiny-router", "tiny-replica", "tiny-replica-miss"} {
 		r, ok := rep.Benchmarks[name]
 		if !ok || r.NsPerOp <= 0 || r.Iterations <= 0 {
 			t.Fatalf("malformed result for %s: %+v", name, rep)

@@ -32,7 +32,10 @@ import (
 // cases (Peaks == true) schedule the dual or k-pool fixture once and
 // measure MemoryPeaks on the result; inline cases (Inline != "") serve a
 // warm POST /v1/schedule carrying the graph inline through a cluster
-// router over stub replicas ("router") or one replica ("replica").
+// router over stub replicas ("router") or one replica ("replica"), or
+// alternate two encodings of the graph through a one-entry replica
+// ("replica-miss": every request misses the digest memo and finds the
+// session warm).
 type Case struct {
 	Name      string
 	Scheduler string // registry name passed to WithScheduler
@@ -45,7 +48,7 @@ type Case struct {
 	Replay    string // sweep replay policy; "" keeps the engine default (auto)
 	Fork      string // "warm" or "cold": benchmark Fork()+Schedule instead
 	Peaks     bool   // benchmark MemoryPeaks on one fixed schedule instead
-	Inline    string // "router" or "replica": benchmark one inline request instead
+	Inline    string // "router", "replica" or "replica-miss": benchmark one inline request instead
 }
 
 // defaultCases is the tracked suite.
@@ -90,6 +93,8 @@ func defaultCases() []Case {
 		// session resolve, schedule, encode).
 		{Name: "RouterInline1000", Size: 1000, Inline: "router"},
 		{Name: "ReplicaInline1000", Size: 1000, Inline: "replica"},
+		// The replica's digest-miss path: the same request re-encoded.
+		{Name: "ReplicaInlineMiss1000", Size: 1000, Inline: "replica-miss"},
 	}
 }
 
@@ -316,9 +321,10 @@ func runPeaks(c Case) (Result, error) {
 }
 
 // runInline measures one warm inline POST /v1/schedule per iteration —
-// the same workload as BenchmarkRouterInline1000 and
-// BenchmarkReplicaInline1000 in bench_test.go. One untimed request warms
-// every cache a repeated request finds warm.
+// the same workload as BenchmarkRouterInline1000,
+// BenchmarkReplicaInline1000 and BenchmarkReplicaInlineMiss1000 in
+// bench_test.go. One untimed request per body warms every cache a
+// repeated request finds warm.
 func runInline(c Case) (Result, error) {
 	params := daggen.LargeParams()
 	params.Size = c.Size
@@ -334,6 +340,7 @@ func runInline(c Case) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	bodies := [][]byte{body}
 	var h http.Handler
 	switch c.Inline {
 	case "router":
@@ -347,10 +354,20 @@ func runInline(c Case) (Result, error) {
 		h = rt.Handler()
 	case "replica":
 		h = serve.NewServer(serve.Config{}).Handler()
+	case "replica-miss":
+		var spaced bytes.Buffer
+		if err := json.Indent(&spaced, raw, "", " "); err != nil {
+			return Result{}, err
+		}
+		if !bytes.Contains(body, raw) {
+			return Result{}, fmt.Errorf("graph bytes not verbatim in the request body")
+		}
+		bodies = append(bodies, bytes.Replace(body, raw, spaced.Bytes(), 1))
+		h = serve.NewServer(serve.Config{CacheSize: 1}).Handler()
 	default:
 		return Result{}, fmt.Errorf("unknown inline tier %q", c.Inline)
 	}
-	serveOnce := func() error {
+	serveOnce := func(body []byte) error {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
 		if w.Code != http.StatusOK {
@@ -358,14 +375,16 @@ func runInline(c Case) (Result, error) {
 		}
 		return nil
 	}
-	if err := serveOnce(); err != nil {
-		return Result{}, err
+	for _, body := range bodies {
+		if err := serveOnce(body); err != nil {
+			return Result{}, err
+		}
 	}
 	var reqErr error
 	br := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if reqErr = serveOnce(); reqErr != nil {
+			if reqErr = serveOnce(bodies[i%len(bodies)]); reqErr != nil {
 				b.FailNow()
 			}
 		}

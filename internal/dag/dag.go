@@ -14,6 +14,9 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math"
+
+	"repro/internal/platform"
 )
 
 // TaskID identifies a task inside one Graph. IDs are dense: the first task
@@ -285,13 +288,25 @@ func (g *Graph) Clone() *Graph {
 var ErrCyclic = errors.New("dag: graph contains a cycle")
 
 // Validate checks structural soundness: non-negative processing times, file
-// sizes and communication times, and acyclicity.
+// sizes and communication times, totals every schedule can represent, and
+// acyclicity.
+//
+// Every list-schedule time is a sum of the durations of distinct tasks and
+// transfers, and every memory residency is a sum of distinct file sizes. So
+// the sum over tasks of max(WBlue, WRed) plus every Comm must be finite,
+// and the sum of every File must not exceed platform.Unlimited. The bound
+// is conservative: it counts all work as if run in sequence and all files
+// as resident at once, so it also rejects some graphs no schedule would
+// overflow, such as two independent tasks of 1e308 each.
 func (g *Graph) Validate() error {
+	var work float64
 	for _, t := range g.tasks {
 		if t.WBlue < 0 || t.WRed < 0 {
 			return fmt.Errorf("dag: task %d (%s) has negative processing time", t.ID, t.Name)
 		}
+		work += max(t.WBlue, t.WRed)
 	}
+	var files int64
 	for _, e := range g.edges {
 		if e.File < 0 {
 			return fmt.Errorf("dag: edge %d -> %d has negative file size %d", e.From, e.To, e.File)
@@ -299,6 +314,18 @@ func (g *Graph) Validate() error {
 		if e.Comm < 0 {
 			return fmt.Errorf("dag: edge %d -> %d has negative communication time %g", e.From, e.To, e.Comm)
 		}
+		if e.File > platform.Unlimited-files {
+			return fmt.Errorf("dag: file sizes sum past %d at edge %d -> %d; "+
+				"the sum over all edges must stay within the unlimited capacity "+
+				"(a conservative bound: it counts every file as resident at once)", platform.Unlimited, e.From, e.To)
+		}
+		files += e.File
+		work += e.Comm
+	}
+	if math.IsInf(work, 0) || math.IsNaN(work) {
+		return fmt.Errorf("dag: task and communication times sum to %g; "+
+			"the sum over tasks of max(wblue, wred) plus every comm must be finite "+
+			"(a conservative bound: it counts all work as if run in sequence)", work)
 	}
 	if _, err := g.TopologicalOrder(); err != nil {
 		return err

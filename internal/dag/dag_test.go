@@ -3,10 +3,13 @@ package dag
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/platform"
 )
 
 func TestAddTaskAssignsDenseIDs(t *testing.T) {
@@ -329,6 +332,56 @@ func TestValidateRejectsNegatives(t *testing.T) {
 	g3.MustAddEdge(a, b, 3, -1)
 	if err := g3.Validate(); err == nil {
 		t.Fatal("negative comm time accepted")
+	}
+}
+
+// TestValidateRejectsOverflowingTotals pins the conservative totals bound:
+// task and communication times must sum to a finite value, file sizes to
+// at most platform.Unlimited, and the bound holds even where no schedule
+// would overflow.
+func TestValidateRejectsOverflowingTotals(t *testing.T) {
+	chain := New()
+	a := chain.AddTask("a", 1e308, 1e308)
+	b := chain.AddTask("b", 1, 1e308)
+	chain.MustAddEdge(a, b, 1, 0)
+	independent := New()
+	independent.AddTask("a", 1e308, 0)
+	independent.AddTask("b", 0, 1e308)
+	comm := New()
+	a = comm.AddTask("a", 1e308, 1)
+	b = comm.AddTask("b", 1, 1)
+	comm.MustAddEdge(a, b, 1, 1e308)
+	nan := New()
+	nan.AddTask("a", math.NaN(), 1)
+	files := New()
+	a = files.AddTask("a", 1, 1)
+	b = files.AddTask("b", 1, 1)
+	c := files.AddTask("c", 1, 1)
+	files.MustAddEdge(a, c, platform.Unlimited/2+1, 0)
+	files.MustAddEdge(b, c, platform.Unlimited/2, 0)
+	huge := New()
+	a = huge.AddTask("a", 1, 1)
+	b = huge.AddTask("b", 1, 1)
+	huge.MustAddEdge(a, b, math.MaxInt64, 0)
+	for name, g := range map[string]*Graph{"chain": chain, "independent": independent, "comm": comm, "nan": nan} {
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Fatalf("%s: Validate = %v, want the finite-sum error", name, err)
+		}
+	}
+	for name, g := range map[string]*Graph{"files": files, "huge": huge} {
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "file sizes sum past") {
+			t.Fatalf("%s: Validate = %v, want the file-sum error", name, err)
+		}
+	}
+
+	atBound := New()
+	a = atBound.AddTask("a", math.MaxFloat64/2, 0)
+	b = atBound.AddTask("b", 0, math.MaxFloat64/2)
+	c = atBound.AddTask("c", 1, 1)
+	atBound.MustAddEdge(a, c, platform.Unlimited/2, 0)
+	atBound.MustAddEdge(b, c, platform.Unlimited/2, 0)
+	if err := atBound.Validate(); err != nil {
+		t.Fatalf("totals at the bound rejected: %v", err)
 	}
 }
 

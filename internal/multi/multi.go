@@ -27,6 +27,7 @@ package multi
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/dag"
@@ -217,15 +218,28 @@ func (in *Instance) validateMatrix(nPools int) error {
 	if len(in.Times) != in.G.NumTasks() {
 		return fmt.Errorf("multi: timing matrix has %d rows for %d tasks", len(in.Times), in.G.NumTasks())
 	}
+	var work float64
 	for i, row := range in.Times {
 		if len(row) != nPools {
 			return fmt.Errorf("multi: task %d has %d pool times for %d pools", i, len(row), nPools)
 		}
+		var slowest float64
 		for k, w := range row {
 			if w < 0 {
 				return fmt.Errorf("multi: task %d has negative time on pool %d", i, k)
 			}
+			slowest = max(slowest, w)
 		}
+		work += slowest
+	}
+	// The same conservative bound as dag.Graph.Validate, over the matrix.
+	for _, e := range in.G.Edges() {
+		work += e.Comm
+	}
+	if math.IsInf(work, 0) || math.IsNaN(work) {
+		return fmt.Errorf("multi: pool and communication times sum to %g; "+
+			"the sum over tasks of the largest pool time plus every comm must be finite "+
+			"(a conservative bound: it counts all work as if run in sequence)", work)
 	}
 	return nil
 }

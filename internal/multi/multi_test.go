@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -79,6 +80,21 @@ func TestInstanceValidate(t *testing.T) {
 	}
 	if err := neg.ValidateMatrix(); err == nil {
 		t.Fatal("negative time accepted")
+	}
+	// The totals bound of dag.Graph.Validate, over the matrix: the largest
+	// time of every task plus every comm must sum to a finite value.
+	for name, times := range map[string][][]float64{
+		"two slowest":  {{1e308, 1}, {1e308, 1}, {1, 1}, {1, 1}},
+		"NaN":          {{math.NaN(), 1}, {1, 1}, {1, 1}, {1, 1}},
+		"three pools":  {{1, 1, 1e308}, {1, 1, 1}, {1, 1e308, 1}, {1, 1, 1}},
+		"one infinite": {{1, math.Inf(1)}, {1, 1}, {1, 1}, {1, 1}},
+	} {
+		if err := NewInstance(g, times).ValidateMatrix(); err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Fatalf("%s: ValidateMatrix = %v, want the finite-sum error", name, err)
+		}
+	}
+	if err := NewInstance(g, [][]float64{{1e308, 1}, {1, 1}, {1, 1}, {1, 1}}).ValidateMatrix(); err != nil {
+		t.Fatalf("a finite total rejected: %v", err)
 	}
 }
 

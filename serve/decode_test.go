@@ -3,6 +3,8 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -45,10 +47,31 @@ const validGraph = `{"tasks":[{"wblue":2,"wred":1},{"wblue":1,"wred":2}],` +
 // the right status and structured code, never a 5xx or an unstructured
 // body. Rows marked unroutable must also fail serve.RoutingKey, so a
 // router and a replica agree on what a valid body is.
+//
+// The server has validGraph memoized, so rows around it take the certified
+// decode as far as it goes; every answer must still be the plain
+// decoder's. Rows marked noLength are sent without a Content-Length.
 func TestScheduleRejections(t *testing.T) {
 	h := serve.NewServer(serve.Config{MaxRequestBytes: 64 << 10}).Handler()
+	if w := post(t, h, "/v1/graphs", `{"graph":`+validGraph+`}`); w.Code != http.StatusOK {
+		t.Fatalf("registering validGraph: %d %s", w.Code, w.Body)
+	}
+	const (
+		unseenGraph = `{"tasks":[{"wblue":7,"wred":5}],"edges":[]}`
+		// overflowGraph's two tasks take 1e308 each: their sum is +Inf.
+		overflowGraph = `{"tasks":[{"wblue":1e308,"wred":1e308},{"wblue":1e308,"wred":1e308}],` +
+			`"edges":[{"from":0,"to":1,"file":1,"comm":0}]}`
+		// bigFilesGraph's two files into task 2 sum past int64 (each is
+		// 1.5 × 2^62, the unlimited capacity).
+		bigFilesGraph = `{"tasks":[{"wblue":1,"wred":1},{"wblue":1,"wred":1},{"wblue":1,"wred":1}],` +
+			`"edges":[{"from":0,"to":2,"file":6917529027641081856,"comm":0},` +
+			`{"from":1,"to":2,"file":6917529027641081856,"comm":0}]}`
+		unbounded = `"pools":[{"procs":1},{"procs":1}]`
+	)
+	padding := strings.Repeat(" ", 100<<10)
+	padString := `"pad":"` + strings.Repeat("x", 100<<10) + `"`
 
-	cases := []struct {
+	type rejection struct {
 		name       string
 		path       string
 		body       string
@@ -56,7 +79,9 @@ func TestScheduleRejections(t *testing.T) {
 		code       string
 		contains   string
 		unroutable bool
-	}{
+		noLength   bool
+	}
+	cases := []rejection{
 		{
 			name:   "malformed JSON",
 			path:   "/v1/schedule",
@@ -282,10 +307,88 @@ func TestScheduleRejections(t *testing.T) {
 			status: http.StatusRequestEntityTooLarge, code: serve.CodeTooLarge,
 			contains: "exceeds",
 		},
+		{
+			name:   "register task times summing to +Inf",
+			path:   "/v1/graphs",
+			body:   `{"graph":` + overflowGraph + `}`,
+			status: http.StatusBadRequest, code: serve.CodeBadRequest,
+			contains: "must be finite", unroutable: true,
+		},
+		{
+			name:   "schedule task times summing to +Inf",
+			path:   "/v1/schedule",
+			body:   `{"graph":` + overflowGraph + `,` + unbounded + `}`,
+			status: http.StatusBadRequest, code: serve.CodeBadRequest,
+			contains: "must be finite", unroutable: true,
+		},
+		{
+			name:   "simulate task times summing to +Inf",
+			path:   "/v1/simulate",
+			body:   `{"graph":` + overflowGraph + `,` + unbounded + `}`,
+			status: http.StatusBadRequest, code: serve.CodeBadRequest,
+			contains: "must be finite", unroutable: true,
+		},
+		{
+			name:   "register pool times summing to +Inf",
+			path:   "/v1/graphs",
+			body:   `{"graph":` + validGraph + `,"times":[[1e308,1],[1e308,1]]}`,
+			status: http.StatusBadRequest, code: serve.CodeBadRequest,
+			contains: "must be finite", unroutable: true,
+		},
+		{
+			name:   "register file sizes summing past int64",
+			path:   "/v1/graphs",
+			body:   `{"graph":` + bigFilesGraph + `}`,
+			status: http.StatusBadRequest, code: serve.CodeBadRequest,
+			contains: "file sizes sum past", unroutable: true,
+		},
+		{
+			name:   "schedule file sizes summing past int64",
+			path:   "/v1/schedule",
+			body:   `{"graph":` + bigFilesGraph + `,` + unbounded + `}`,
+			status: http.StatusBadRequest, code: serve.CodeBadRequest,
+			contains: "file sizes sum past", unroutable: true,
+		},
+		{
+			name:   "simulate file sizes summing past int64",
+			path:   "/v1/simulate",
+			body:   `{"graph":` + bigFilesGraph + `,` + unbounded + `}`,
+			status: http.StatusBadRequest, code: serve.CodeBadRequest,
+			contains: "file sizes sum past", unroutable: true,
+		},
+	}
+	// Over the cap, the decoder decides: malformed first bytes are a 400,
+	// a well-formed body a 413, whether or not the graph is memoized and
+	// whether or not the client declared the length.
+	for _, graph := range []struct{ name, json string }{{"memoized", validGraph}, {"unseen", unseenGraph}} {
+		for _, noLength := range []bool{false, true} {
+			suffix := fmt.Sprintf(" (%s graph, no length %v)", graph.name, noLength)
+			cases = append(cases,
+				rejection{
+					name:   "over the cap with malformed first bytes" + suffix,
+					path:   "/v1/schedule",
+					body:   `{"graph":` + graph.json + `,"pools": x` + padding,
+					status: http.StatusBadRequest, code: serve.CodeBadRequest,
+					contains: "malformed JSON", unroutable: true, noLength: noLength,
+				},
+				rejection{
+					name:   "over the cap and well-formed" + suffix,
+					path:   "/v1/schedule",
+					body:   `{"graph":` + graph.json + `,` + unbounded + `,` + padString + `}`,
+					status: http.StatusRequestEntityTooLarge, code: serve.CodeTooLarge,
+					contains: "exceeds", noLength: noLength,
+				})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := post(t, h, tc.path, tc.body)
+			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+			req.Header.Set("Content-Type", "application/json")
+			if tc.noLength {
+				req.ContentLength = -1
+			}
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
 			if w.Code != tc.status {
 				t.Fatalf("status = %d, want %d (body %s)", w.Code, tc.status, w.Body.String())
 			}
@@ -350,6 +453,10 @@ func FuzzRegisterGraph(f *testing.F) {
 	f.Add(`{"graph":`+validGraph+`,`+pools+`,"policy":"eft"}`, uint8(2))
 	f.Add(`{"graph":`+validGraph+`,`+pools+`,"alphas":[0.5,1],"schedulers":["memheft","memminmin"]}`, uint8(3))
 	f.Add(`{"graph":`+validGraph+`,"platforms":[[{"procs":1},{"procs":1}]],"replay":"off"}`, uint8(3))
+	// Task times summing to +Inf: a simulation answered with an empty 200
+	// before validation bounded the totals.
+	f.Add(`{"graph":{"tasks":[{"wblue":1e308,"wred":1e308},{"wblue":1e308,"wred":1e308}],`+
+		`"edges":[{"from":0,"to":1,"file":1,"comm":0}]},"pools":[{"procs":1},{"procs":1}]}`, uint8(2))
 
 	routes := [...]string{"/v1/graphs", "/v1/schedule", "/v1/simulate", "/v1/sweep"}
 	h := serve.NewServer(serve.Config{MaxRequestBytes: 1 << 20}).Handler()
@@ -447,4 +554,42 @@ func respaceGraph(body string) (string, bool) {
 	}
 	b.WriteByte('}')
 	return b.String(), true
+}
+
+// TestReadRequestBodySizing pins ReadRequestBody's allocation: a declared
+// length within the cap is read into exactly that much room plus
+// bytes.MinRead, a declared length never presizes more than 1 MiB, and a
+// body past the cap comes back as the capped bytes with
+// *http.MaxBytesError.
+func TestReadRequestBodySizing(t *testing.T) {
+	body := strings.Repeat("x", 150<<10)
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		limit    int64
+		wantCap  int // 0: not pinned
+	}{
+		{"declared", int64(len(body)), 8 << 20, len(body) + bytes.MinRead},
+		{"undeclared", -1, 8 << 20, 0},
+		{"declared past 1 MiB", 4 << 20, 8 << 20, 1<<20 + bytes.MinRead},
+		{"declared past the cap", 16 << 20, 8 << 20, 0},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body))
+		req.ContentLength = tc.declared
+		got, err := serve.ReadRequestBody(req, tc.limit)
+		if err != nil || string(got) != body {
+			t.Fatalf("%s: read %d bytes, %v", tc.name, len(got), err)
+		}
+		if tc.wantCap != 0 && cap(got) != tc.wantCap {
+			t.Fatalf("%s: buffer capacity %d, want %d", tc.name, cap(got), tc.wantCap)
+		}
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body))
+	w := httptest.NewRecorder()
+	req.Body = http.MaxBytesReader(w, req.Body, 64<<10)
+	got, err := serve.ReadRequestBody(req, 64<<10)
+	var tooBig *http.MaxBytesError
+	if !errors.As(err, &tooBig) || string(got) != body[:64<<10] {
+		t.Fatalf("over the cap: read %d bytes, %v", len(got), err)
+	}
 }

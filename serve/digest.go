@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,8 +56,10 @@ func digestOf(graph []byte, times [][]float64) graphDigest {
 // is bounded (least recently used entries go first) and safe for
 // concurrent use.
 //
-// A replica keeps one in front of its session cache; a cluster router
-// keeps one in front of RoutingKey (see DigestMemo.RoutingKey).
+// A replica keeps one in front of its session cache and its body decode;
+// a cluster router keeps one in front of RoutingKey (see
+// DigestMemo.RoutingKey), and a cluster client one in front of GraphKey
+// (see DigestMemo.GraphKey).
 type DigestMemo struct {
 	mu  sync.Mutex
 	lru *memo.LRU[graphDigest, string]
@@ -100,9 +103,9 @@ func (m *DigestMemo) put(d graphDigest, key string) {
 // Hits counts the keys answered from the memo, misses the inline-graph
 // keys RoutingKey had to compute; see Counts.
 func (m *DigestMemo) RoutingKey(body []byte) (key string, portable bool, err error) {
-	d, scanned := inlineDigest(body)
+	sg, scanned := inlineDigest(body)
 	if scanned {
-		if key, hit := m.get(d); hit {
+		if key, hit := m.get(sg.digest); hit {
 			m.hits.Add(1)
 			return key, true, nil
 		}
@@ -110,30 +113,79 @@ func (m *DigestMemo) RoutingKey(body []byte) (key string, portable bool, err err
 	key, portable, err = RoutingKey(body)
 	if err == nil && portable {
 		if scanned {
-			m.put(d, key)
+			m.put(sg.digest, key)
 		}
 		m.misses.Add(1)
 	}
 	return key, portable, err
 }
 
+// GraphKey returns exactly what GraphKey(raw, times) returns, answering
+// byte-identical graphs from the memo: a hit costs one SHA-256 pass over
+// raw, a miss runs GraphKey and stores the digest only when that
+// succeeded. Hits and misses are counted as for RoutingKey.
+func (m *DigestMemo) GraphKey(raw json.RawMessage, times [][]float64) (string, error) {
+	if !hasGraph(raw) {
+		return GraphKey(raw, times)
+	}
+	d := digestOf(raw, times)
+	if key, hit := m.get(d); hit {
+		m.hits.Add(1)
+		return key, nil
+	}
+	key, err := GraphKey(raw, times)
+	if err == nil {
+		m.put(d, key)
+		m.misses.Add(1)
+	}
+	return key, err
+}
+
+// scannedGraph is an inline graph as scanKeyed found it in a request body:
+// the raw "graph" value and its offset in the body, the decoded "times"
+// matrix, and their digest. The zero value means no graph was digested.
+type scannedGraph struct {
+	at     int
+	graph  []byte
+	times  [][]float64
+	digest graphDigest
+}
+
+// digestFor returns digestOf(graph, times), reusing the scanned digest
+// when graph and times are exactly the bytes and matrix it was computed
+// from.
+func (sg scannedGraph) digestFor(graph []byte, times [][]float64) graphDigest {
+	if sg.graph != nil && bytes.Equal(sg.graph, graph) && sameTimes(sg.times, times) {
+		return sg.digest
+	}
+	return digestOf(graph, times)
+}
+
+// sameTimes reports whether two times matrices digest alike: both absent
+// or both present, with bit-identical entries.
+func sameTimes(a, b [][]float64) bool {
+	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	})
+}
+
 // inlineDigest digests the inline graph of a keyed request body. ok is
 // false unless scanKeyed read the body and found a graph and no graph id,
 // and the times member (if any) decodes.
-func inlineDigest(body []byte) (d graphDigest, ok bool) {
+func inlineDigest(body []byte) (sg scannedGraph, ok bool) {
 	sp, ok := scanKeyed(body)
 	if !ok || len(sp.graphID) > 0 || sp.graph == nil {
-		return d, false
+		return sg, false
 	}
 	var times [][]float64
 	if sp.times != nil && json.Unmarshal(sp.times, &times) != nil {
-		return d, false
+		return sg, false
 	}
-	return digestOf(sp.graph, times), true
+	return scannedGraph{at: sp.graphAt, graph: sp.graph, times: times, digest: digestOf(sp.graph, times)}, true
 }
 
-// Counts returns how many keys RoutingKey answered from the memo (hits)
-// and how many inline-graph keys it computed cold (misses).
+// Counts returns how many keys RoutingKey and GraphKey answered from the
+// memo (hits) and how many inline-graph keys they computed cold (misses).
 func (m *DigestMemo) Counts() (hits, misses uint64) {
 	return m.hits.Load(), m.misses.Load()
 }
@@ -144,6 +196,7 @@ type keyedSpans struct {
 	graphID []byte // the string's contents, quotes stripped
 	graph   []byte // the raw value
 	times   []byte // the raw value
+	graphAt int    // graph's offset in the body
 }
 
 // scanKeyed finds the top-level "graph_id", "graph" and "times" members of
@@ -189,7 +242,7 @@ func scanKeyed(body []byte) (sp keyedSpans, ok bool) {
 		case "graph_id":
 			slot = &sp.graphID
 		case "graph":
-			slot = &sp.graph
+			slot, sp.graphAt = &sp.graph, i
 		case "times":
 			slot = &sp.times
 		default:
@@ -262,6 +315,10 @@ func plainStringEnd(b []byte, i int) int {
 	return -1
 }
 
+// containerStop marks the bytes a container scan must look at: string
+// quotes and brackets. valueEnd skips every other byte by one table load.
+var containerStop = [256]bool{'"': true, '{': true, '[': true, '}': true, ']': true}
+
 // valueEnd returns the index just past the JSON value starting at b[i], or
 // -1 if there is none. Strings are skipped escape-aware, containers by
 // bracket depth (so brackets inside strings never count), and scalars run
@@ -276,7 +333,11 @@ func valueEnd(b []byte, i int) int {
 	case '{', '[':
 		depth := 0
 		for j := i; j < len(b); j++ {
-			switch b[j] {
+			c := b[j]
+			if !containerStop[c] {
+				continue
+			}
+			switch c {
 			case '"':
 				end := stringEnd(b, j)
 				if end < 0 {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -263,5 +265,226 @@ func TestGraphKeyRejectsNull(t *testing.T) {
 	}
 	if _, _, err := RoutingKey([]byte(`{"graph":null}`)); !errors.Is(err, ErrNoRoutingKey) {
 		t.Fatalf("RoutingKey(null graph) = %v, want ErrNoRoutingKey", err)
+	}
+}
+
+// certifiedGraph is the graph FuzzCertifiedDecode primes the replica's
+// digest memo with, alone and with certifiedTimes (validGraph of the
+// external tests).
+const (
+	certifiedGraph = `{"tasks":[{"wblue":2,"wred":1},{"wblue":1,"wred":2}],` +
+		`"edges":[{"from":0,"to":1,"file":1,"comm":1}]}`
+	certifiedTimes = `[[1,2],[3,4]]`
+)
+
+// primedServer returns a replica with a 4 KiB body cap whose digest memo
+// holds certifiedGraph, alone and with certifiedTimes.
+func primedServer(t testing.TB) *Server {
+	s := NewServer(Config{MaxRequestBytes: 4 << 10})
+	for _, body := range []string{
+		`{"graph":` + certifiedGraph + `}`,
+		`{"graph":` + certifiedGraph + `,"times":` + certifiedTimes + `}`,
+	} {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/graphs", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("priming %s: status %d (%s)", body, w.Code, w.Body)
+		}
+	}
+	return s
+}
+
+// FuzzCertifiedDecode checks decodeBody against the decoder it replaced,
+// one encoding/json Decoder streaming the capped body. For any body, each
+// request type and with or without a Content-Length, both must answer
+// with the same status and error, and decode the same request. The memo
+// is primed, so every body around the primed graph bytes takes the
+// certified path up to its spliced decode.
+func FuzzCertifiedDecode(f *testing.F) {
+	g, pools := certifiedGraph, `"pools":[{"procs":1},{"procs":1}]`
+	for _, body := range []string{
+		`{"graph":` + g + `,` + pools + `}`,
+		`{"graph":` + g + `,"times":` + certifiedTimes + `,` + pools + `}`,
+		`{"graph":` + g + `,"alphas":[0.5,1],"seed":3,"scheduler":"memminmin","placements":true}`,
+		"\n{\"graph\" :\t" + g + " \r\n, " + pools + " }\n ",
+		`{"graph":` + g + `,` + pools + `} junk`,
+		`{"graph":` + g + `,` + pools + `} {}`,
+		`{"graph":` + g + `,"graph":` + g + `}`,
+		`{"Graph":` + g + `,` + pools + `}`,
+		`{"graph":` + g + `,"GRAPH":{}}`,
+		`{"graph":` + g + `,` + pools + `}`,
+		`{"pools":[{"procs":1},,],"graph":` + g + `}`,
+		`{"pools":nope,"graph":` + g + `}`,
+		`{"graph":` + g + `,"pools":nope}`,
+		`{"graph":` + g + `,"pools":[{"procs":"x"}],"seed":1.5}`,
+		`{"graph_id":"abc","graph":` + g + `}`,
+		`{"graph_id":"","graph":` + g + `}`,
+		`{"graph":null,` + pools + `}`,
+		`{"graph":` + g + `,"times":[[1,2],[3]]}`,
+		`{"graph":` + g + `,"times":` + certifiedTimes + `,"times":` + certifiedTimes + `}`,
+		`{"graph":` + g + `,` + pools + `,"pad":"` + strings.Repeat("x", 5000) + `"}`,
+		`{"graph":` + g + `,"pools": x` + strings.Repeat(" ", 5000),
+		`{"graph":`,
+		``,
+	} {
+		for mode := range uint8(6) {
+			f.Add([]byte(body), mode)
+		}
+	}
+	s := primedServer(f)
+	f.Fuzz(func(t *testing.T, body []byte, mode uint8) {
+		dropLength := mode/3%2 == 1
+		switch mode % 3 {
+		case 0:
+			checkCertified(t, s, body, dropLength, func(r *RegisterRequest) *json.RawMessage { return &r.Graph })
+		case 1:
+			checkCertified(t, s, body, dropLength, func(r *ScheduleRequest) *json.RawMessage { return &r.Graph })
+		default:
+			checkCertified(t, s, body, dropLength, func(r *SweepRequest) *json.RawMessage { return &r.Graph })
+		}
+	})
+}
+
+// checkCertified decodes body into a T with decodeBody and with the plain
+// streaming decoder, and fails unless both agree.
+func checkCertified[T any](t *testing.T, s *Server, body []byte, dropLength bool, graph func(*T) *json.RawMessage) {
+	t.Helper()
+	request := func(w http.ResponseWriter) *http.Request {
+		r := httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body))
+		if dropLength {
+			r.ContentLength = -1
+		}
+		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+		return r
+	}
+	var got, want T
+	wGot, wWant := httptest.NewRecorder(), httptest.NewRecorder()
+	_, errGot := s.decodeBody(wGot, request(wGot), &got, graph(&got))
+	errWant := plainDecode(wWant, request(wWant), &want)
+	if (errGot == nil) != (errWant == nil) || wGot.Code != wWant.Code || wGot.Body.String() != wWant.Body.String() {
+		t.Fatalf("body %q: certified %d %q (%v), plain %d %q (%v)",
+			body, wGot.Code, wGot.Body, errGot, wWant.Code, wWant.Body, errWant)
+	}
+	if errGot == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("body %q: certified %+v, plain %+v", body, got, want)
+	}
+}
+
+// plainDecode is decodeBody before the certified path: one encoding/json
+// Decoder streaming the capped body, then the trailing-data check.
+func plainDecode(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	if err == nil {
+		err = trailingData(dec)
+	}
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return err
+		}
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "malformed JSON: "+err.Error())
+	}
+	return err
+}
+
+// TestCertifiedDecodeAliasesBody pins that the fast path runs: on a primed
+// graph the request's Graph is the body's own bytes, not a copy, and
+// carries the scanned digest.
+func TestCertifiedDecodeAliasesBody(t *testing.T) {
+	s := primedServer(t)
+	for _, times := range []string{"", `,"times":` + certifiedTimes} {
+		body := []byte(`{"seed":3,"graph":` + certifiedGraph + times + `,"pools":[{"procs":1},{"procs":1}]}`)
+		var req ScheduleRequest
+		sg, ok := s.certifiedDecode(body, &req, &req.Graph)
+		if !ok {
+			t.Fatalf("certified decode refused %s", body)
+		}
+		at := bytes.Index(body, []byte(certifiedGraph))
+		if string(req.Graph) != certifiedGraph || &req.Graph[0] != &body[at] {
+			t.Fatalf("graph %q does not alias the body", req.Graph)
+		}
+		if req.Seed != 3 || len(req.Pools) != 2 || (times != "") != (req.Times != nil) {
+			t.Fatalf("decoded %+v", req)
+		}
+		if sg.digest != digestOf(req.Graph, req.Times) {
+			t.Fatal("scanned digest differs from the request's")
+		}
+	}
+}
+
+// TestScannedDigestReused pins the hash-once rule: digestFor returns the
+// scanned digest, unhashed, for the scanned bytes and times, and hashes
+// anything else afresh.
+func TestScannedDigestReused(t *testing.T) {
+	graph := []byte(certifiedGraph)
+	times := [][]float64{{1, 2}, {3, 4}}
+	sg := scannedGraph{graph: graph, times: times} // digest left zero: a reuse returns it
+	var zero graphDigest
+	if sg.digestFor(graph, [][]float64{{1, 2}, {3, 4}}) != zero || sg.digestFor(bytes.Clone(graph), times) != zero {
+		t.Fatal("the scanned digest was not reused for the scanned bytes")
+	}
+	for _, tc := range []struct {
+		graph []byte
+		times [][]float64
+	}{
+		{graph, nil},
+		{graph, [][]float64{}},
+		{graph, [][]float64{{1, 2}, {3, 5}}},
+		{graph, [][]float64{{1, 2}, {3, math.Copysign(0, -1)}}},
+		{[]byte(digestGraph), times},
+	} {
+		if got := sg.digestFor(tc.graph, tc.times); got != digestOf(tc.graph, tc.times) {
+			t.Fatalf("digestFor(%s, %v) reused a digest of other input", tc.graph, tc.times)
+		}
+	}
+	if (scannedGraph{}).digestFor(graph, nil) != digestOf(graph, nil) {
+		t.Fatal("an empty scan does not hash")
+	}
+}
+
+// TestClusterClientKeysFromMemo checks keyOf's memo against the cold
+// GraphKey: equal keys on first sight and on every repeat, and a repeat
+// answered without calling GraphKey again.
+func TestClusterClientKeysFromMemo(t *testing.T) {
+	c, err := NewClusterClient([]string{"http://a", "http://b", "http://c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, []byte(digestGraph), "", " "); err != nil {
+		t.Fatal(err)
+	}
+	inputs := []struct {
+		graph json.RawMessage
+		times [][]float64
+	}{
+		{json.RawMessage(digestGraph), nil},
+		{json.RawMessage(digestGraph), [][]float64{{1, 2}, {3, 4}, {5, 6}}},
+		{spaced.Bytes(), nil},
+	}
+	for round := 0; round < 3; round++ {
+		for _, in := range inputs {
+			want, err := GraphKey(in.graph, in.times)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.keyOf("", in.graph, in.times); got != want {
+				t.Fatalf("round %d: keyOf %q, GraphKey %q", round, got, want)
+			}
+		}
+	}
+	if hits, misses := c.keys.Counts(); misses != 3 || hits != 6 {
+		t.Fatalf("memo counts: %d hits, %d misses, want 6 and 3", hits, misses)
+	}
+	for _, bad := range []string{`null`, `{"tasks":[{"wblue":-1,"wred":1}]}`, `nope`} {
+		if key := c.keyOf("", json.RawMessage(bad), nil); key != "" {
+			t.Fatalf("keyOf(%s) = %q, want unrouted", bad, key)
+		}
+	}
+	if c.keys.lru.Len() != 3 {
+		t.Fatalf("memo holds %d entries, want 3", c.keys.lru.Len())
 	}
 }

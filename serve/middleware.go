@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
@@ -184,6 +185,28 @@ func BodyCapMiddleware(maxBytes int64) Middleware {
 			next.ServeHTTP(w, r)
 		})
 	}
+}
+
+// maxPresize bounds the buffer ReadRequestBody allocates before any byte
+// arrives, so a client that declares a large Content-Length and sends
+// little cannot make a tier allocate more up front.
+const maxPresize = 1 << 20
+
+// ReadRequestBody reads r.Body whole into one buffer. The buffer starts at
+// the declared Content-Length when that is positive and at most limit (the
+// body cap), never above 1 MiB, plus bytes.MinRead of headroom so the final
+// read that meets EOF does not grow it; beyond that it grows as bytes
+// arrive. On a read error — *http.MaxBytesError past a BodyCapMiddleware
+// cap, a client gone mid-body — it returns the bytes read so far with the
+// error.
+func ReadRequestBody(r *http.Request, limit int64) ([]byte, error) {
+	n := r.ContentLength
+	if n <= 0 || n > limit {
+		n = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, min(n, maxPresize)+bytes.MinRead))
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
 }
 
 // withShed is the queue-depth-aware load shedder (Config.ShedQueueDepth):

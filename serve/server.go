@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,7 +42,9 @@ type Config struct {
 	// excess requests wait for a slot (default 64).
 	MaxInFlight int
 	// MaxRequestBytes bounds request bodies (default 8 MiB); larger
-	// payloads get a structured 413.
+	// payloads get a structured 413. A body is read whole into one buffer
+	// presized from its Content-Length when that is within this bound,
+	// but never more than 1 MiB before the bytes arrive.
 	MaxRequestBytes int64
 	// MaxRunTime caps one scheduling run (default 30s); a request's
 	// timeout_ms may shorten it but never extend past the cap.
@@ -517,30 +520,99 @@ func (s *Server) releaseSweepWorkers(n int) {
 	}
 }
 
-// decodeBody decodes the JSON request body into v, reporting (status,
-// code) classified errors. The body must hold exactly one JSON value, as
-// for json.Unmarshal and so for RoutingKey: anything but whitespace after
-// it is malformed. The size bound itself lives in the withBodyCap
-// middleware; the *http.MaxBytesError it produces surfaces here, at the
-// first read past the cap.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	err := dec.Decode(v)
+// decodeBody reads the request body and decodes it into v, reporting
+// (status, code) classified errors. The body must hold exactly one JSON
+// value, as for json.Unmarshal and so for RoutingKey: anything but
+// whitespace after it is malformed. graph is v's inline-graph field.
+//
+// The body is read once, into a buffer sized by ReadRequestBody, and
+// scanned once by scanKeyed. When the scan finds an inline graph and no
+// graph id, and the digest of its bytes and times is in the replica's
+// digest memo, those exact bytes already passed validation as the
+// top-level graph of a body. Then only the rest of the body is decoded,
+// with the graph value spliced out as {}, and *graph aliases the body
+// bytes instead of a copy. This is exact: scanKeyed refuses every body
+// encoding/json could read differently (duplicate, case-variant or
+// escaped keys, a null graph, trailing data), so the whole body decodes
+// exactly when the spliced one does, and to the same value.
+//
+// Any other body is decoded whole by json.Unmarshal, which accepts
+// exactly the bodies the Decoder below accepts, and to the same value. A
+// body either refuses is decoded again by encoding/json's Decoder, so
+// statuses and error texts stay that decoder's. A failed read is replayed
+// to it: the bytes read so far, then the read error. The size bound lives
+// in the withBodyCap middleware, so a body past it fails the read with
+// *http.MaxBytesError, a 413, unless its malformed first bytes stop the
+// decoder first, a 400, just as when the decoder streamed the body.
+//
+// The returned scannedGraph carries the digest the scan computed, which
+// inlineSession reuses instead of hashing the graph again.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, graph *json.RawMessage) (scannedGraph, error) {
+	body, err := ReadRequestBody(r, s.cfg.MaxRequestBytes)
+	var sg scannedGraph
 	if err == nil {
-		err = trailingData(dec)
+		var certified bool
+		sg, certified = s.certifiedDecode(body, v, graph)
+		if certified || json.Unmarshal(body, v) == nil {
+			return sg, nil
+		}
 	}
-	if err != nil {
+	if err = decodeJSON(body, err, v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return err
+			return sg, err
 		}
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "malformed JSON: "+err.Error())
-		return err
+		return sg, err
 	}
-	return nil
+	return sg, nil
 }
+
+// certifiedDecode is decodeBody's fast path: it decodes body into v
+// without decoding the inline graph, when the graph's digest is memoized.
+// sg is the scanned graph whenever the scan digested one; ok reports that
+// v was decoded.
+func (s *Server) certifiedDecode(body []byte, v any, graph *json.RawMessage) (sg scannedGraph, ok bool) {
+	sg, scanned := inlineDigest(body)
+	if !scanned {
+		return sg, false
+	}
+	if _, hit := s.digests.get(sg.digest); !hit {
+		return sg, false
+	}
+	end := sg.at + len(sg.graph)
+	rest := make([]byte, 0, len(body)-len(sg.graph)+2)
+	rest = append(append(append(rest, body[:sg.at]...), "{}"...), body[end:]...)
+	if json.Unmarshal(rest, v) != nil {
+		return sg, false
+	}
+	*graph = sg.graph
+	return sg, true
+}
+
+// decodeJSON decodes the one JSON value of body into v with
+// encoding/json's Decoder, then refuses trailing data. A non-nil readErr
+// is what reading the body failed with after those bytes; the decoder
+// meets it where it would have met it reading the request.
+func decodeJSON(body []byte, readErr error, v any) error {
+	var src io.Reader = bytes.NewReader(body)
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
+	dec := json.NewDecoder(src)
+	err := dec.Decode(v)
+	if err == nil {
+		err = trailingData(dec)
+	}
+	return err
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // trailingData reports anything but whitespace left in dec after its
 // first value.
@@ -599,11 +671,12 @@ func (s *Server) lookup(id string) (*memsched.Session, bool) {
 // of registration and of every inline request. A digest-memo hit whose
 // session is still resident returns that session without decoding the
 // graph again; anything else (unseen bytes, an evicted session) runs
-// buildSession and intern, then records the bytes' digest. cached reports
-// whether the session was already resident. Errors have been written to
-// w.
-func (s *Server) inlineSession(w http.ResponseWriter, graph json.RawMessage, times [][]float64) (sess *memsched.Session, cached, ok bool) {
-	d := digestOf(graph, times)
+// buildSession and intern, then records the bytes' digest. The digest is
+// sg's when sg scanned these very bytes and times, so a request hashes its
+// graph once. cached reports whether the session was already resident.
+// Errors have been written to w.
+func (s *Server) inlineSession(w http.ResponseWriter, graph json.RawMessage, times [][]float64, sg scannedGraph) (sess *memsched.Session, cached, ok bool) {
+	d := sg.digestFor(graph, times)
 	if key, hit := s.digests.get(d); hit {
 		if sess, resident := s.lookup(key); resident {
 			s.digestHits.Add(1)
@@ -632,16 +705,16 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// the in-flight budget with the scheduling runs.
 	endDecode := trace.Start(r.Context(), "decode")
 	var req RegisterRequest
-	if s.decodeBody(w, r, &req) != nil {
-		endDecode()
+	sg, err := s.decodeBody(w, r, &req, &req.Graph)
+	endDecode()
+	if err != nil {
 		return
 	}
-	endDecode()
 	if !hasGraph(req.Graph) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, `missing "graph"`)
 		return
 	}
-	sess, cached, ok := s.inlineSession(w, req.Graph, req.Times)
+	sess, cached, ok := s.inlineSession(w, req.Graph, req.Times, sg)
 	if !ok {
 		return
 	}
@@ -655,8 +728,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveSession turns a request's graph reference (id or inline) into a
-// session, preferring a cached warm one. Errors have been written to w.
-func (s *Server) resolveSession(w http.ResponseWriter, graphID string, graph json.RawMessage, times [][]float64) (sess *memsched.Session, fromCache, ok bool) {
+// session, preferring a cached warm one. sg is what decodeBody scanned.
+// Errors have been written to w.
+func (s *Server) resolveSession(w http.ResponseWriter, graphID string, graph json.RawMessage, times [][]float64, sg scannedGraph) (sess *memsched.Session, fromCache, ok bool) {
 	inline := hasGraph(graph)
 	switch {
 	case graphID != "" && inline:
@@ -677,7 +751,7 @@ func (s *Server) resolveSession(w http.ResponseWriter, graphID string, graph jso
 		s.sessionHits.Add(1)
 		return sess, true, true
 	case inline:
-		sess, cached, ok := s.inlineSession(w, graph, times)
+		sess, cached, ok := s.inlineSession(w, graph, times, sg)
 		if !ok {
 			return nil, false, false
 		}
@@ -734,11 +808,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 	// scheduling starts.
 	endDecode := trace.Start(r.Context(), "decode")
 	var req ScheduleRequest
-	if s.decodeBody(w, r, &req) != nil {
-		endDecode()
+	sg, err := s.decodeBody(w, r, &req, &req.Graph)
+	endDecode()
+	if err != nil {
 		return
 	}
-	endDecode()
 	if req.TimeoutMS < 0 {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, `"timeout_ms" must be >= 0`)
 		return
@@ -766,7 +840,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 		return
 	}
 	endResolve := trace.Start(r.Context(), "resolve")
-	sess, fromCache, ok := s.resolveSession(w, req.GraphID, req.Graph, req.Times)
+	sess, fromCache, ok := s.resolveSession(w, req.GraphID, req.Graph, req.Times, sg)
 	endResolve()
 	if !ok {
 		return
@@ -789,10 +863,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	var (
-		res *memsched.Result
-		err error
-	)
+	var res *memsched.Result
 	endEngine := trace.Start(ctx, "engine")
 	if simulate {
 		res, err = sess.Simulate(ctx, p, memsched.WithPolicy(policy), memsched.WithSeed(req.Seed))
@@ -938,11 +1009,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	endDecode := trace.Start(r.Context(), "decode")
 	var req SweepRequest
-	if s.decodeBody(w, r, &req) != nil {
-		endDecode()
+	sg, err := s.decodeBody(w, r, &req, &req.Graph)
+	endDecode()
+	if err != nil {
 		return
 	}
-	endDecode()
 	if req.TimeoutMS < 0 {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, `"timeout_ms" must be >= 0`)
 		return
@@ -956,7 +1027,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	endResolve := trace.Start(r.Context(), "resolve")
-	sess, fromCache, ok := s.resolveSession(w, req.GraphID, req.Graph, req.Times)
+	sess, fromCache, ok := s.resolveSession(w, req.GraphID, req.Graph, req.Times, sg)
 	endResolve()
 	if !ok {
 		return
