@@ -443,6 +443,9 @@ func BenchmarkReplicaInlineMiss1000(b *testing.B) {
 		b.Fatal(err)
 	}
 	respaced := bytes.Replace(body, req.Graph, spaced.Bytes(), 1)
+	if bytes.Equal(respaced, body) {
+		b.Fatal("graph bytes not verbatim in the request body")
+	}
 	benchInline(b, serve.NewServer(serve.Config{CacheSize: 1}).Handler(), body, respaced)
 }
 

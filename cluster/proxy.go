@@ -549,12 +549,6 @@ var hopHeaders = map[string]bool{
 	"Transfer-Encoding": true, "Upgrade": true,
 }
 
-// relayBufs recycles relay's 32 KiB copy buffers across responses.
-var relayBufs = sync.Pool{New: func() any {
-	buf := make([]byte, 32<<10)
-	return &buf
-}}
-
 // relay streams resp to the client, flushing after every chunk so
 // NDJSON sweep records are delivered as the replica emits them, never
 // buffered whole. A mid-stream upstream failure surfaces as a truncated
@@ -578,9 +572,7 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
-	bp := relayBufs.Get().(*[]byte)
-	defer relayBufs.Put(bp)
-	buf := *bp
+	buf := make([]byte, 32<<10)
 	for {
 		n, err := resp.Body.Read(buf)
 		if n > 0 {

@@ -32,10 +32,8 @@ type Client struct {
 
 	// Cluster mode (NewClusterClient): the keyed endpoints route to
 	// ring.Owner of the request's graph key, and each retry walks one
-	// step down the key's ring preference list. keys memoizes the keys of
-	// inline graphs already sent.
+	// step down the key's ring preference list.
 	ring *ring.Ring
-	keys *DigestMemo
 
 	// headers are set on every outgoing request (WithRequestHeader) —
 	// e.g. the workload-class label an open-loop load generator tags its
@@ -73,12 +71,8 @@ func NewClusterClient(baseURLs []string, opts ...ClientOption) (*Client, error) 
 	}
 	c := NewClient(baseURLs[0], opts...)
 	c.ring = r
-	c.keys = NewDigestMemo(clientKeyEntries)
 	return c, nil
 }
-
-// clientKeyEntries bounds a cluster client's memo of inline-graph keys.
-const clientKeyEntries = 1024
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
@@ -163,10 +157,8 @@ func (c *Client) baseFor(key string, attempt int) string {
 
 // keyOf derives the ring routing key of a keyed request (cluster clients
 // only; "" routes to the default base). An inline graph hashes to the
-// same canonical key registration would assign, through a digest memo so
-// a graph sent again is keyed by one SHA-256 pass over its bytes; a graph
-// the server would reject routes by "" — any replica will produce the
-// structured error.
+// same canonical key registration would assign; a graph the server would
+// reject routes by "" — any replica will produce the structured error.
 func (c *Client) keyOf(graphID string, graph json.RawMessage, times [][]float64) string {
 	if c.ring == nil {
 		return ""
@@ -175,7 +167,7 @@ func (c *Client) keyOf(graphID string, graph json.RawMessage, times [][]float64)
 		return graphID
 	}
 	if len(graph) > 0 {
-		if key, err := c.keys.GraphKey(graph, times); err == nil {
+		if key, err := GraphKey(graph, times); err == nil {
 			return key
 		}
 	}

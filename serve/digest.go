@@ -58,8 +58,7 @@ func digestOf(graph []byte, times [][]float64) graphDigest {
 //
 // A replica keeps one in front of its session cache and its body decode;
 // a cluster router keeps one in front of RoutingKey (see
-// DigestMemo.RoutingKey), and a cluster client one in front of GraphKey
-// (see DigestMemo.GraphKey).
+// DigestMemo.RoutingKey).
 type DigestMemo struct {
 	mu  sync.Mutex
 	lru *memo.LRU[graphDigest, string]
@@ -120,27 +119,6 @@ func (m *DigestMemo) RoutingKey(body []byte) (key string, portable bool, err err
 	return key, portable, err
 }
 
-// GraphKey returns exactly what GraphKey(raw, times) returns, answering
-// byte-identical graphs from the memo: a hit costs one SHA-256 pass over
-// raw, a miss runs GraphKey and stores the digest only when that
-// succeeded. Hits and misses are counted as for RoutingKey.
-func (m *DigestMemo) GraphKey(raw json.RawMessage, times [][]float64) (string, error) {
-	if !hasGraph(raw) {
-		return GraphKey(raw, times)
-	}
-	d := digestOf(raw, times)
-	if key, hit := m.get(d); hit {
-		m.hits.Add(1)
-		return key, nil
-	}
-	key, err := GraphKey(raw, times)
-	if err == nil {
-		m.put(d, key)
-		m.misses.Add(1)
-	}
-	return key, err
-}
-
 // scannedGraph is an inline graph as scanKeyed found it in a request body:
 // the raw "graph" value and its offset in the body, the decoded "times"
 // matrix, and their digest. The zero value means no graph was digested.
@@ -184,8 +162,8 @@ func inlineDigest(body []byte) (sg scannedGraph, ok bool) {
 	return scannedGraph{at: sp.graphAt, graph: sp.graph, times: times, digest: digestOf(sp.graph, times)}, true
 }
 
-// Counts returns how many keys RoutingKey and GraphKey answered from the
-// memo (hits) and how many inline-graph keys they computed cold (misses).
+// Counts returns how many keys RoutingKey answered from the memo (hits)
+// and how many inline-graph keys it computed cold (misses).
 func (m *DigestMemo) Counts() (hits, misses uint64) {
 	return m.hits.Load(), m.misses.Load()
 }

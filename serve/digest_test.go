@@ -444,47 +444,3 @@ func TestScannedDigestReused(t *testing.T) {
 		t.Fatal("an empty scan does not hash")
 	}
 }
-
-// TestClusterClientKeysFromMemo checks keyOf's memo against the cold
-// GraphKey: equal keys on first sight and on every repeat, and a repeat
-// answered without calling GraphKey again.
-func TestClusterClientKeysFromMemo(t *testing.T) {
-	c, err := NewClusterClient([]string{"http://a", "http://b", "http://c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spaced bytes.Buffer
-	if err := json.Indent(&spaced, []byte(digestGraph), "", " "); err != nil {
-		t.Fatal(err)
-	}
-	inputs := []struct {
-		graph json.RawMessage
-		times [][]float64
-	}{
-		{json.RawMessage(digestGraph), nil},
-		{json.RawMessage(digestGraph), [][]float64{{1, 2}, {3, 4}, {5, 6}}},
-		{spaced.Bytes(), nil},
-	}
-	for round := 0; round < 3; round++ {
-		for _, in := range inputs {
-			want, err := GraphKey(in.graph, in.times)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := c.keyOf("", in.graph, in.times); got != want {
-				t.Fatalf("round %d: keyOf %q, GraphKey %q", round, got, want)
-			}
-		}
-	}
-	if hits, misses := c.keys.Counts(); misses != 3 || hits != 6 {
-		t.Fatalf("memo counts: %d hits, %d misses, want 6 and 3", hits, misses)
-	}
-	for _, bad := range []string{`null`, `{"tasks":[{"wblue":-1,"wred":1}]}`, `nope`} {
-		if key := c.keyOf("", json.RawMessage(bad), nil); key != "" {
-			t.Fatalf("keyOf(%s) = %q, want unrouted", bad, key)
-		}
-	}
-	if c.keys.lru.Len() != 3 {
-		t.Fatalf("memo holds %d entries, want 3", c.keys.lru.Len())
-	}
-}
