@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -44,13 +45,13 @@ func main() {
 		svgPath   = flag.String("svg", "", "write a Gantt chart of the schedule (SVG) to this path")
 	)
 	flag.Parse()
-	if err := run(*graphPath, *example, *algo, *pBlue, *pRed, *mBlue, *mRed, *seed, *timeout, *timeline, *dotPath, *jsonOut, *svgPath); err != nil {
+	if err := run(os.Stdout, *graphPath, *example, *algo, *pBlue, *pRed, *mBlue, *mRed, *seed, *timeout, *timeline, *dotPath, *jsonOut, *svgPath); err != nil {
 		fmt.Fprintln(os.Stderr, "memsched:", err)
 		os.Exit(1)
 	}
 }
 
-func run(graphPath string, example bool, algo string, pBlue, pRed int, mBlue, mRed, seed int64, timeout time.Duration, timeline bool, dotPath string, jsonOut bool, svgPath string) error {
+func run(w io.Writer, graphPath string, example bool, algo string, pBlue, pRed int, mBlue, mRed, seed int64, timeout time.Duration, timeline bool, dotPath string, jsonOut bool, svgPath string) error {
 	var g *memsched.Graph
 	switch {
 	case example:
@@ -104,16 +105,16 @@ func run(graphPath string, example bool, algo string, pBlue, pRed int, mBlue, mR
 	s := res.Schedule
 
 	peaks := res.PeakResidency()
-	fmt.Printf("algorithm : %s\n", res.Stats.Scheduler)
-	fmt.Printf("platform  : %s\n", p)
-	fmt.Printf("tasks     : %d (%d edges)\n", g.NumTasks(), g.NumEdges())
-	fmt.Printf("makespan  : %g\n", res.Makespan())
-	fmt.Printf("peaks     : blue=%d red=%d\n", peaks[0], peaks[1])
-	fmt.Printf("run       : %v (candidate-cache hit rate %.0f%%)\n", res.Stats.WallTime.Round(time.Microsecond), 100*res.Stats.CacheHitRate())
+	fmt.Fprintf(w, "algorithm : %s\n", res.Stats.Scheduler)
+	fmt.Fprintf(w, "platform  : %s\n", p)
+	fmt.Fprintf(w, "tasks     : %d (%d edges)\n", g.NumTasks(), g.NumEdges())
+	fmt.Fprintf(w, "makespan  : %g\n", res.Makespan())
+	fmt.Fprintf(w, "peaks     : blue=%d red=%d\n", peaks[0], peaks[1])
+	fmt.Fprintf(w, "run       : %v (candidate-cache hit rate %.0f%%)\n", res.Stats.WallTime.Round(time.Microsecond), 100*res.Stats.CacheHitRate())
 
 	if timeline {
-		fmt.Println()
-		fmt.Print(s.Render())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, s.Render())
 	}
 	if svgPath != "" {
 		if err := os.WriteFile(svgPath, []byte(s.SVG()), 0o644); err != nil {
@@ -128,7 +129,7 @@ func run(graphPath string, example bool, algo string, pBlue, pRed int, mBlue, mR
 			Tasks     []schedule.TaskPlacement `json:"tasks"`
 			CommStart []float64                `json:"commStart"`
 		}{res.Makespan(), peaks[0], peaks[1], s.Tasks, sanitize(s.CommStart)}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
 			return err

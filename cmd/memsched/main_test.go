@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,19 +9,19 @@ import (
 )
 
 func TestRunExample(t *testing.T) {
-	if err := run("", true, "memheft", 1, 1, 5, 5, 1, 0, false, "", false, ""); err != nil {
+	if err := run(io.Discard, "", true, "memheft", 1, 1, 5, 5, 1, 0, false, "", false, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunWithTimelineAndJSON(t *testing.T) {
-	if err := run("", true, "memminmin", 1, 1, 4, 4, 1, 0, true, "", true, ""); err != nil {
+	if err := run(io.Discard, "", true, "memminmin", 1, 1, 4, 4, 1, 0, true, "", true, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnlimitedBounds(t *testing.T) {
-	if err := run("", true, "heft", 2, 2, -1, -1, 1, 0, false, "", false, ""); err != nil {
+	if err := run(io.Discard, "", true, "heft", 2, 2, -1, -1, 1, 0, false, "", false, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -33,7 +34,7 @@ func TestRunGraphFromFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(path, false, "memheft", 1, 1, 10, 10, 1, 0, false, "", false, ""); err != nil {
+	if err := run(io.Discard, path, false, "memheft", 1, 1, 10, 10, 1, 0, false, "", false, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -41,7 +42,7 @@ func TestRunGraphFromFile(t *testing.T) {
 func TestRunWritesDot(t *testing.T) {
 	dir := t.TempDir()
 	dot := filepath.Join(dir, "g.dot")
-	if err := run("", true, "memheft", 1, 1, 10, 10, 1, 0, false, dot, false, ""); err != nil {
+	if err := run(io.Discard, "", true, "memheft", 1, 1, 10, 10, 1, 0, false, dot, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(dot)
@@ -54,17 +55,17 @@ func TestRunWritesDot(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", false, "memheft", 1, 1, 5, 5, 1, 0, false, "", false, ""); err == nil {
+	if err := run(io.Discard, "", false, "memheft", 1, 1, 5, 5, 1, 0, false, "", false, ""); err == nil {
 		t.Fatal("missing graph accepted")
 	}
-	if err := run("", true, "bogus", 1, 1, 5, 5, 1, 0, false, "", false, ""); err == nil {
+	if err := run(io.Discard, "", true, "bogus", 1, 1, 5, 5, 1, 0, false, "", false, ""); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
-	if err := run("/nonexistent/file.json", false, "memheft", 1, 1, 5, 5, 1, 0, false, "", false, ""); err == nil {
+	if err := run(io.Discard, "/nonexistent/file.json", false, "memheft", 1, 1, 5, 5, 1, 0, false, "", false, ""); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	// Infeasible bounds surface the scheduler error.
-	if err := run("", true, "memheft", 1, 1, 2, 2, 1, 0, false, "", false, ""); err == nil {
+	if err := run(io.Discard, "", true, "memheft", 1, 1, 2, 2, 1, 0, false, "", false, ""); err == nil {
 		t.Fatal("infeasible bounds accepted")
 	}
 }
@@ -72,7 +73,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunWritesSVG(t *testing.T) {
 	dir := t.TempDir()
 	svg := filepath.Join(dir, "g.svg")
-	if err := run("", true, "memheft", 1, 1, 10, 10, 1, 0, false, "", false, svg); err != nil {
+	if err := run(io.Discard, "", true, "memheft", 1, 1, 10, 10, 1, 0, false, "", false, svg); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(svg)
