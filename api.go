@@ -1,18 +1,14 @@
 package memsched
 
 import (
-	"context"
 	"io"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/exact"
 	"repro/internal/linalg"
 	"repro/internal/multi"
 	"repro/internal/platform"
-	"repro/internal/schedule"
 	"repro/internal/sim"
 )
 
@@ -37,27 +33,13 @@ type (
 	// 2-pool case (pool 0 blue/CPU-side, pool 1 red/accelerator-side):
 	// build one with NewDualPlatform, or any pool count with NewPlatform.
 	Platform = multi.Platform
-	// Schedule is a complete mapping of a graph onto a dual-memory
-	// platform, produced by the incremental dual engine.
-	Schedule = schedule.Schedule
-	// PoolSchedule is a schedule on a k-pool platform, produced by the
-	// generalised engine.
+	// PoolSchedule is a complete mapping of a graph onto a platform's
+	// pools: one placement per task and one start per cross-pool
+	// communication.
 	PoolSchedule = multi.Schedule
 	// Instance couples a DAG with a per-pool Times[task][pool] matrix for
 	// k-pool scheduling.
 	Instance = multi.Instance
-	// Memory identifies the blue or red memory of the dual model.
-	Memory = platform.Memory
-
-	// Options tunes a deprecated facade heuristic call (tie-break seed).
-	// New code passes WithSeed to Session.Schedule instead.
-	Options = core.Options
-)
-
-// Memories of the dual model.
-const (
-	Blue = platform.Blue
-	Red  = platform.Red
 )
 
 // Unlimited is a memory capacity that never constrains a schedule.
@@ -94,18 +76,18 @@ func NewInstance(g *Graph, times [][]float64) *Instance {
 }
 
 // ErrMemoryBound is returned (wrapped) when a memory-aware heuristic cannot
-// schedule the graph within the platform's memory bounds — by both the dual
-// and the k-pool engine.
-var ErrMemoryBound = core.ErrMemoryBound
+// schedule the graph within the platform's memory bounds.
+var ErrMemoryBound = multi.ErrMemoryBound
 
 // LowerBound returns a makespan lower bound valid for every schedule of g
 // on the 2-pool platform p (critical path and aggregate work arguments).
+// Session.LowerBound serves WithPoolTimes sessions on any pool count.
 func LowerBound(g *Graph, p Platform) (float64, error) {
-	dp, ok := p.Dual()
-	if !ok {
-		return 0, errDualOnly("LowerBound")
+	in := multi.FromDual(g)
+	if err := in.Validate(p); err != nil {
+		return 0, err
 	}
-	return exact.LowerBound(g, dp)
+	return exact.LowerBound(in, p)
 }
 
 // Workload generators.
@@ -166,131 +148,12 @@ const (
 // ErrSimStuck is returned (wrapped) when the online run deadlocks on memory.
 var ErrSimStuck = sim.ErrStuck
 
-// errDualOnly is the rejection for dual-only entry points fed a k-pool
-// platform; errDualSessionOnly additionally demands a dual (non-pool-times)
-// session. Both share one error identity.
-func errDualOnly(what string) error {
-	return &dualOnlyError{what: what}
-}
-
-func errDualSessionOnly(what string) error {
-	return &dualOnlyError{what: what, needSession: true}
-}
-
-type dualOnlyError struct {
-	what        string
-	needSession bool
-}
-
-func (e *dualOnlyError) Error() string {
-	if e.needSession {
-		return "memsched: " + e.what + " requires a dual session on a 2-pool platform"
-	}
-	return "memsched: " + e.what + " requires a 2-pool (dual-memory) platform"
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated facade: the pre-Session flat API, kept as thin wrappers for one
-// release. See docs/MIGRATION.md for the mapping.
-// ---------------------------------------------------------------------------
-
-// SchedulerFunc is the signature of the deprecated flat heuristic entry
-// points. They accept any Platform but reject pool counts other than 2.
-//
-// Deprecated: create a Session and call Schedule with WithScheduler.
-type SchedulerFunc = func(*Graph, Platform, Options) (*Schedule, error)
-
-// wrapDual adapts a context-first dual-memory heuristic to the deprecated
-// flat signature.
-func wrapDual(fn core.Func) SchedulerFunc {
-	return func(g *Graph, p Platform, opt Options) (*Schedule, error) {
-		dp, ok := p.Dual()
-		if !ok {
-			return nil, errDualOnly("the flat scheduler API")
-		}
-		return fn(context.Background(), g, dp, opt)
-	}
-}
-
-// Schedulers of the paper. HEFT and MinMin ignore the platform's memory
-// bounds; MemHEFT and MemMinMin enforce them and return an error wrapping
-// ErrMemoryBound when the graph does not fit. MemHEFTInsertion is the
-// insertion-policy ablation of MemHEFT.
-//
-// Deprecated: create a Session and call Schedule with WithScheduler (and
-// WithInsertion for the ablation). These wrappers carry no session memos:
-// every call recomputes the priority list and graph statics, so hot loops
-// (sweeps, services) should migrate to a Session to keep the cached cost.
-var (
-	HEFT             = wrapDual(core.HEFT)
-	MinMin           = wrapDual(core.MinMin)
-	MemHEFT          = wrapDual(core.MemHEFT)
-	MemMinMin        = wrapDual(core.MemMinMin)
-	MemHEFTInsertion = wrapDual(core.MemHEFTInsertion)
-)
-
-// SchedulerByName resolves a registered scheduler name (case-insensitive;
-// see Schedulers for the registry) to the deprecated flat signature.
-//
-// Deprecated: pass WithScheduler(name) to Session.Schedule.
-func SchedulerByName(name string) (SchedulerFunc, error) {
-	fn, err := core.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return wrapDual(fn), nil
-}
-
-// OptimalOptions bounds the effort of the deprecated Optimal wrapper.
-//
-// Deprecated: pass WithMaxNodes / WithTimeout to Session.Optimal.
-type OptimalOptions struct {
-	MaxNodes int           // 0 = the default node budget
-	Timeout  time.Duration // 0 = unlimited
-}
-
-// Optimal runs the branch-and-bound search for the best list schedule of g
-// on the 2-pool platform p. It returns the best schedule found and whether
-// optimality (over the list-schedule space) was proven; a nil schedule with
-// proven=true means the instance is infeasible for every list schedule.
-//
-// Deprecated: create a Session and call Optimal.
-func Optimal(g *Graph, p Platform, opt OptimalOptions) (s *Schedule, proven bool, err error) {
-	dp, ok := p.Dual()
-	if !ok {
-		return nil, false, errDualOnly("Optimal")
-	}
-	res, err := exact.Solve(context.Background(), g, dp, exact.Options{MaxNodes: opt.MaxNodes, Timeout: opt.Timeout})
-	if err != nil {
-		return nil, false, err
-	}
-	proven = res.Status == exact.Optimal || res.Status == exact.Infeasible
-	return res.Schedule, proven, nil
-}
-
-// Simulate runs the online dispatcher for g on the 2-pool platform p and
-// returns the emitted, validated schedule.
-//
-// Deprecated: create a Session and call Simulate with WithPolicy.
-func Simulate(g *Graph, p Platform, policy SimPolicy, seed int64) (*Schedule, error) {
-	dp, ok := p.Dual()
-	if !ok {
-		return nil, errDualOnly("Simulate")
-	}
-	res, err := sim.Run(context.Background(), g, dp, sim.Options{Policy: policy, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.Schedule, nil
-}
-
-// The parallel Multi* type system (MemoryPool, MultiPlatform, MultiInstance,
-// MultiSchedule, MultiSchedulerFunc, NewMultiPlatform, NewMultiInstance,
-// MultiMemHEFT, MultiMemMinMin, ErrMultiMemoryBound) that predated the
-// unified pool surface has been removed after its deprecation release; see
-// docs/MIGRATION.md for the one-line replacements on the Session API.
+// The pre-Session flat API (SchedulerFunc, HEFT, MinMin, MemHEFT,
+// MemMinMin, MemHEFTInsertion, SchedulerByName, Options, OptimalOptions,
+// Optimal, Simulate) and the parallel Multi* type system have been removed
+// after their deprecation releases; see docs/MIGRATION.md for the one-line
+// replacements on the Session API.
 
 // DualInstance converts a dual-memory graph into a 2-pool instance (pool 0
-// blue, pool 1 red); the generalised heuristics then reproduce MemHEFT /
-// MemMinMin exactly.
+// blue, pool 1 red): the instance a plain NewSession schedules.
 func DualInstance(g *Graph) *Instance { return multi.FromDual(g) }

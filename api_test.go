@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// The TestFacade* tests walk the package-level surface — graph building,
+// generators, platforms, sentinels — with every scheduling call made
+// through a Session.
 
 func TestFacadeQuickstartFlow(t *testing.T) {
 	g := NewGraph()
@@ -14,34 +19,44 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	b := g.AddTask("solve", 6, 3)
 	g.MustAddEdge(a, b, 2, 1)
 
-	p := NewDualPlatform(2, 1, 8, 4)
-	s, err := MemHEFT(g, p, Options{})
+	sess, err := NewSession(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
+	res, err := sess.Schedule(context.Background(), NewDualPlatform(2, 1, 8, 4))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Makespan() <= 0 {
+	if err := res.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Makespan() <= 0 {
 		t.Fatal("nonpositive makespan")
 	}
 }
 
 func TestFacadeSchedulersRegistered(t *testing.T) {
-	for _, name := range []string{"heft", "minmin", "memheft", "memminmin"} {
-		if _, err := SchedulerByName(name); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	names := Schedulers()
+	for _, name := range []string{"heft", "minmin", "memheft", "memminmin", "memheft-insertion"} {
+		if !slices.Contains(names, name) {
+			t.Fatalf("%s not registered: %v", name, names)
 		}
 	}
-	if _, err := SchedulerByName("nope"); err == nil {
+	sess, err := NewSession(PaperExample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Schedule(context.Background(), NewDualPlatform(1, 1, 10, 10), WithScheduler("nope")); err == nil {
 		t.Fatal("bad name accepted")
 	}
 }
 
 func TestFacadeErrMemoryBound(t *testing.T) {
-	g := PaperExample()
-	p := NewDualPlatform(1, 1, 2, 2)
-	_, err := MemMinMin(g, p, Options{})
+	sess, err := NewSession(PaperExample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sess.Schedule(context.Background(), NewDualPlatform(1, 1, 2, 2), WithScheduler("memminmin"))
 	if !errors.Is(err, ErrMemoryBound) {
 		t.Fatalf("err = %v", err)
 	}
@@ -63,21 +78,25 @@ func TestFacadeGraphJSONRoundTrip(t *testing.T) {
 }
 
 func TestFacadeOptimalOnPaperExample(t *testing.T) {
-	g := PaperExample()
-	s, proven, err := Optimal(g, NewDualPlatform(1, 1, 4, 4), OptimalOptions{})
+	ctx := context.Background()
+	sess, err := NewSession(PaperExample())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !proven || s == nil || s.Makespan() != 7 {
-		t.Fatalf("proven=%v s=%v", proven, s)
-	}
-	// Infeasible case: nil schedule with proven=true.
-	s, proven, err = Optimal(g, NewDualPlatform(1, 1, 2, 2), OptimalOptions{})
+	res, err := sess.Optimal(ctx, NewDualPlatform(1, 1, 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != nil || !proven {
-		t.Fatalf("infeasible case: s=%v proven=%v", s, proven)
+	if !res.Stats.Proven || res.Pools == nil || res.Makespan() != 7 {
+		t.Fatalf("proven=%v makespan=%g", res.Stats.Proven, res.Makespan())
+	}
+	// Infeasible case: no schedule, proven.
+	res, err = sess.Optimal(ctx, NewDualPlatform(1, 1, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Pools != nil || !res.Stats.Proven {
+		t.Fatalf("infeasible case: schedule=%v proven=%v", res.Pools != nil, res.Stats.Proven)
 	}
 }
 
@@ -85,6 +104,13 @@ func TestFacadeLowerBound(t *testing.T) {
 	lb, err := LowerBound(PaperExample(), NewDualPlatform(1, 1, 10, 10))
 	if err != nil || lb != 5 {
 		t.Fatalf("lb=%g err=%v", lb, err)
+	}
+	sess, err := NewSession(PaperExample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slb, err := sess.LowerBound(NewDualPlatform(1, 1, 10, 10)); err != nil || slb != lb {
+		t.Fatalf("session lb=%g err=%v, package lb=%g", slb, err, lb)
 	}
 }
 
@@ -107,12 +133,12 @@ func TestFacadeGenerators(t *testing.T) {
 }
 
 func TestFacadeMemoryConstants(t *testing.T) {
-	if Blue.String() != "blue" || Red.String() != "red" {
-		t.Fatal("memory constants wrong")
-	}
 	p := NewDualPlatform(1, 1, Unlimited, Unlimited)
 	if !strings.Contains(p.String(), "inf") {
 		t.Fatal("Unlimited not formatted as inf")
+	}
+	if got := NewDualPlatform(2, 1, 8, 4).String(); got != "platform{2@8 1@4}" {
+		t.Fatalf("dual platform formatted as %q", got)
 	}
 }
 
@@ -137,8 +163,12 @@ func TestFacadeMultiPool(t *testing.T) {
 			t.Fatal("peak count")
 		}
 	}
-	// Differential against the dual-memory scheduler.
-	dual, err := MemHEFT(g, NewDualPlatform(1, 1, 10, 10), Options{Seed: 1})
+	// Differential against a plain session on the same platform.
+	plain, err := NewSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dual, err := plain.Schedule(ctx, NewDualPlatform(1, 1, 10, 10), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,54 +188,56 @@ func TestFacadeMultiPool(t *testing.T) {
 
 func TestFacadeEndToEndLU(t *testing.T) {
 	// A miniature of the Figure 14 pipeline through the public API only.
+	ctx := context.Background()
 	g, err := LUGraph(DefaultLinalgConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbounded := NewDualPlatform(12, 3, Unlimited, Unlimited)
-	ref, err := HEFT(g, unbounded, Options{Seed: 1})
+	sess, err := NewSession(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blue, red := ref.MemoryPeaks()
-	peak := blue
-	if red > peak {
-		peak = red
+	ref, err := sess.Schedule(ctx, NewDualPlatform(12, 3, Unlimited, Unlimited), WithScheduler("heft"), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	tight := NewDualPlatform(12, 3, peak/2, peak/2)
-	s, err := MemHEFT(g, tight, Options{Seed: 1})
+	peak := slices.Max(ref.PeakResidency())
+	res, err := sess.Schedule(ctx, NewDualPlatform(12, 3, peak/2, peak/2), WithSeed(1))
 	if err != nil {
 		t.Fatalf("MemHEFT at half the HEFT peak: %v", err)
 	}
-	if err := s.Validate(); err != nil {
+	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b2, r2 := s.MemoryPeaks()
-	if b2 > peak/2 || r2 > peak/2 {
-		t.Fatalf("peaks (%d,%d) exceed bound %d", b2, r2, peak/2)
+	if pk := res.PeakResidency(); pk[0] > peak/2 || pk[1] > peak/2 {
+		t.Fatalf("peaks %v exceed bound %d", pk, peak/2)
 	}
 }
 
 func TestFacadeSimulateAndInsertion(t *testing.T) {
-	g := PaperExample()
-	p := NewDualPlatform(1, 1, 10, 10)
-	for _, pol := range []SimPolicy{SimRankPolicy, SimEFTPolicy} {
-		s, err := Simulate(g, p, pol, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Simulate(g, NewDualPlatform(1, 1, 2, 2), SimRankPolicy, 1); !errors.Is(err, ErrSimStuck) {
-		t.Fatalf("err = %v", err)
-	}
-	s, err := MemHEFTInsertion(g, p, Options{Seed: 1})
+	ctx := context.Background()
+	sess, err := NewSession(PaperExample())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
+	p := NewDualPlatform(1, 1, 10, 10)
+	for _, pol := range []SimPolicy{SimRankPolicy, SimEFTPolicy} {
+		res, err := sess.Simulate(ctx, p, WithPolicy(pol), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sess.Simulate(ctx, NewDualPlatform(1, 1, 2, 2)); !errors.Is(err, ErrSimStuck) {
+		t.Fatalf("err = %v", err)
+	}
+	res, err := sess.Schedule(ctx, p, WithInsertion(), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

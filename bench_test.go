@@ -18,7 +18,6 @@ import (
 
 	memsched "repro"
 	"repro/cluster"
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/exact"
@@ -118,17 +117,41 @@ func BenchmarkFig15Cholesky(b *testing.B) {
 
 // --- Scheduler throughput ---
 
-func benchScheduler(b *testing.B, fn core.Func, size int, alpha float64) {
+// benchScheduler measures Session.Schedule of a plain session on a 2-pool
+// platform. One session serves the loop, as a server would hold it: the
+// benchmark tracks the steady-state (warm-memo) scheduling cost.
+func benchScheduler(b *testing.B, scheduler string, size int, alpha float64) {
 	g, p := dualBenchFixture(b, size, alpha)
-	// One cache set for the loop, as a session would hold: the benchmark
-	// tracks the steady-state (warm-memo) scheduling cost.
-	caches := core.NewCaches()
+	sess, err := memsched.NewSession(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pp := multi.FromDualPlatform(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fn(tctx, g, p, core.Options{Seed: 7, Caches: caches}); err != nil {
+		if _, err := sess.Schedule(tctx, pp, memsched.WithScheduler(scheduler), memsched.WithSeed(7)); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchReference measures a retained eager oracle on the 2-pool instance of
+// the dual fixture.
+func benchReference(b *testing.B, fn multi.Func, size int, alpha float64) {
+	g, p := dualBenchFixture(b, size, alpha)
+	in, pp := multi.FromDual(g), multi.FromDualPlatform(p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fn(tctx, in, pp, multi.Options{Seed: 7}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// dualRun runs one heuristic on the 2-pool instance of g (pool 0 blue,
+// pool 1 red): the engine and instance a plain Session drives.
+func dualRun(fn multi.Func, g *dag.Graph, p platform.Platform, seed int64) (*multi.Schedule, error) {
+	return fn(tctx, multi.FromDual(g), multi.FromDualPlatform(p), multi.Options{Seed: seed})
 }
 
 // dualBenchFixture returns the daggen graph of the given size on the random
@@ -151,13 +174,13 @@ func dualBenchFixture(b *testing.B, size int, alpha float64) (*dag.Graph, platfo
 
 // BenchmarkMemHEFT300 measures MemHEFT on a 300-task DAG at half the HEFT
 // memory.
-func BenchmarkMemHEFT300(b *testing.B) { benchScheduler(b, core.MemHEFT, 300, 0.5) }
+func BenchmarkMemHEFT300(b *testing.B) { benchScheduler(b, "memheft", 300, 0.5) }
 
 // BenchmarkMemMinMin300 measures MemMinMin on the same instance.
-func BenchmarkMemMinMin300(b *testing.B) { benchScheduler(b, core.MemMinMin, 300, 0.5) }
+func BenchmarkMemMinMin300(b *testing.B) { benchScheduler(b, "memminmin", 300, 0.5) }
 
 // BenchmarkHEFT1000 measures plain HEFT on a 1000-task DAG.
-func BenchmarkHEFT1000(b *testing.B) { benchScheduler(b, core.HEFT, 1000, 1) }
+func BenchmarkHEFT1000(b *testing.B) { benchScheduler(b, "heft", 1000, 1) }
 
 // BenchmarkMemHEFT3000 and BenchmarkMemHEFT10000 track the incremental
 // engine at production scales the naive implementation could not reach in
@@ -165,23 +188,23 @@ func BenchmarkHEFT1000(b *testing.B) { benchScheduler(b, core.HEFT, 1000, 1) }
 // O(l) staircase walk inside).
 // (The memory pressure is eased with size: at these scales the random DAGs
 // stop fitting half the HEFT peak — see the feasibility sweep in ISSUE 1.)
-func BenchmarkMemHEFT3000(b *testing.B)  { benchScheduler(b, core.MemHEFT, 3000, 0.7) }
-func BenchmarkMemHEFT10000(b *testing.B) { benchScheduler(b, core.MemHEFT, 10000, 0.9) }
+func BenchmarkMemHEFT3000(b *testing.B)  { benchScheduler(b, "memheft", 3000, 0.7) }
+func BenchmarkMemHEFT10000(b *testing.B) { benchScheduler(b, "memheft", 10000, 0.9) }
 
 // BenchmarkMemMinMin3000 is the dynamic heuristic at the same scale; its
 // candidate heap with lazy invalidation is what keeps the per-commit cost
 // near the ready-set width instead of a full re-evaluation.
-func BenchmarkMemMinMin3000(b *testing.B) { benchScheduler(b, core.MemMinMin, 3000, 0.7) }
+func BenchmarkMemMinMin3000(b *testing.B) { benchScheduler(b, "memminmin", 3000, 0.7) }
 
 // BenchmarkMemHEFTReference300 and BenchmarkMemMinMinReference300 run the
 // retained naive oracles on the 300-task instance, pinning the speedup of
 // the incremental paths (the golden-equivalence tests prove the schedules
 // are identical).
 func BenchmarkMemHEFTReference300(b *testing.B) {
-	benchScheduler(b, core.MemHEFTReference, 300, 0.5)
+	benchReference(b, multi.MemHEFTReference, 300, 0.5)
 }
 func BenchmarkMemMinMinReference300(b *testing.B) {
-	benchScheduler(b, core.MemMinMinReference, 300, 0.5)
+	benchReference(b, multi.MemMinMinReference, 300, 0.5)
 }
 
 // --- k-pool engine throughput ---
@@ -248,13 +271,13 @@ var peakSink int64
 // schedule: the finalize step a response pays after the engine.
 func BenchmarkPeaks3000(b *testing.B) {
 	g, p := dualBenchFixture(b, 3000, 0.7)
-	s, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 7})
+	s, err := dualRun(multi.MemHEFT, g, p, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		peakSink, _ = s.MemoryPeaks()
+		peakSink = s.MemoryPeaks()[0]
 	}
 }
 
@@ -475,7 +498,7 @@ func BenchmarkAblationBroadcastPipeline(b *testing.B) {
 			b.ResetTimer()
 			fails := 0
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 1}); err != nil {
+				if _, err := dualRun(multi.MemHEFT, g, p, 1); err != nil {
 					fails++
 				}
 			}
@@ -495,14 +518,14 @@ func BenchmarkAblationTieBreak(b *testing.B) {
 	p := experiments.RandomPlatform().WithBounds(platform.Unlimited, platform.Unlimited)
 	b.Run("fixed-seed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 1}); err != nil {
+			if _, err := dualRun(multi.MemHEFT, g, p, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("per-run-seed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MemHEFT(tctx, g, p, core.Options{Seed: int64(i)}); err != nil {
+			if _, err := dualRun(multi.MemHEFT, g, p, int64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -542,7 +565,7 @@ func BenchmarkExactSearchPaperExample(b *testing.B) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 4, 4)
 	for i := 0; i < b.N; i++ {
-		res, err := exact.Solve(tctx, g, p, exact.Options{})
+		res, err := exact.Solve(tctx, multi.FromDual(g), multi.FromDualPlatform(p), exact.Options{})
 		if err != nil || res.Makespan != 7 {
 			b.Fatalf("res=%+v err=%v", res, err)
 		}
@@ -572,13 +595,13 @@ func BenchmarkAblationInsertion(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := experiments.RandomPlatform().WithBounds(platform.Unlimited, platform.Unlimited)
-	ref, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 1})
+	ref, err := dualRun(multi.MemHEFT, g, p, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("append", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 1}); err != nil {
+			if _, err := dualRun(multi.MemHEFT, g, p, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -586,7 +609,7 @@ func BenchmarkAblationInsertion(b *testing.B) {
 	b.Run("insertion", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			s, err := core.MemHEFTInsertion(tctx, g, p, core.Options{Seed: 1})
+			s, err := dualRun(multi.MemHEFTInsertion, g, p, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -605,13 +628,13 @@ func BenchmarkAblationOnlineVsStatic(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := experiments.MiragePlatform().WithBounds(120, 120)
-	static, err := core.MemMinMin(tctx, g, p, core.Options{Seed: 1})
+	static, err := dualRun(multi.MemMinMin, g, p, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("static-memminmin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MemMinMin(tctx, g, p, core.Options{Seed: 1}); err != nil {
+			if _, err := dualRun(multi.MemMinMin, g, p, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -619,7 +642,7 @@ func BenchmarkAblationOnlineVsStatic(b *testing.B) {
 	b.Run("online-eft", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(tctx, g, p, sim.Options{Policy: sim.EFTPolicy})
+			res, err := sim.Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), sim.Options{Policy: sim.EFTPolicy})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -629,10 +652,9 @@ func BenchmarkAblationOnlineVsStatic(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMultiPool compares the dual-memory scheduler against the
-// k-pool generalisation on the same instance: the 2-pool run must match
-// core's behaviour (verified by tests) at comparable cost, and the 4-pool
-// run shows the cost of evaluating more memories per decision.
+// BenchmarkAblationMultiPool compares the engine on two and four pools of
+// the same instance: the 4-pool run shows the cost of evaluating more
+// memories per decision.
 func BenchmarkAblationMultiPool(b *testing.B) {
 	params := daggen.SmallParams()
 	params.Size = 60
@@ -640,14 +662,6 @@ func BenchmarkAblationMultiPool(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("core-2mem", func(b *testing.B) {
-		p := platform.New(2, 2, 500, 500)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.MemHEFT(tctx, g, p, core.Options{Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("multi-2pool", func(b *testing.B) {
 		in := multi.FromDual(g)
 		p := multi.NewPlatform(multi.Pool{Procs: 2, Capacity: 500}, multi.Pool{Procs: 2, Capacity: 500})

@@ -686,10 +686,19 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 		RequestID: w.Header().Get(serve.RequestIDHeader)})
 }
 
+// writeJSON encodes v before it commits the status line, so a value JSON
+// cannot carry (a NaN or an infinite float) answers 500 with a structured
+// body instead of the intended status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		data, _ = json.Marshal(serve.ErrorResponse{Error: "encoding response: " + err.Error(), Code: serve.CodeInternal,
+			RequestID: w.Header().Get(serve.RequestIDHeader)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(data, '\n'))
 }
 
 func writeRetryAfter(w http.ResponseWriter, d time.Duration) {

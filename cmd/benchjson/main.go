@@ -3,9 +3,9 @@
 // performance trajectory of the hot path can be tracked across PRs (the
 // repo convention is one BENCH_<pr>.json per perf PR at the repository
 // root). The cases mirror the scheduler-throughput benchmarks of
-// bench_test.go — the dual-memory suite runs through the public Session API
-// so the numbers include the session indirection real callers pay, and the
-// k-pool suite (n = 300/1000/3000 at k = 3/4/8, plus the retained eager
+// bench_test.go — the dual-memory suite (plain sessions on 2-pool
+// platforms) runs through the public Session API so the numbers include the
+// session indirection real callers pay, and the k-pool suite (n = 300/1000/3000 at k = 3/4/8, plus the retained eager
 // oracle at n = 1000, k = 4) tracks the generalised engine against its
 // reference. RouterInline1000 and ReplicaInline1000 time one warm inline
 // POST /v1/schedule (a 1000-task graph re-sent in the body) through a

@@ -22,7 +22,8 @@ import (
 )
 
 // Case is one named benchmark configuration. Dual-memory cases (Pools == 0)
-// run through the public Session API; k-pool cases (Pools >= 2) run the
+// run a plain session on a 2-pool platform through the public Session API;
+// k-pool cases (Pools >= 2) run the
 // generalised engine on the shared deterministic fixture of
 // experiments.KPoolBench, with Ref selecting the retained eager oracle
 // instead of the incremental scheduler; sweep cases (Sweep == true) run the
@@ -54,7 +55,7 @@ type Case struct {
 // defaultCases is the tracked suite.
 func defaultCases() []Case {
 	return []Case{
-		// Dual-memory engine via the Session API (PR 1/PR 2 trajectory).
+		// Plain sessions on 2-pool platforms via the Session API.
 		{Name: "MemHEFT300", Scheduler: "memheft", Size: 300, Alpha: 0.5},
 		{Name: "MemMinMin300", Scheduler: "memminmin", Size: 300, Alpha: 0.5},
 		{Name: "HEFT1000", Scheduler: "heft", Size: 1000, Alpha: 1},
@@ -186,9 +187,9 @@ func runSweep(c Case) (Result, error) {
 	return toResult(br), nil
 }
 
-// runDual measures Session.Schedule on the dual-memory fast path. The
-// session is created once (as a server would) and the loop measures the
-// steady-state scheduling cost.
+// runDual measures Session.Schedule of a plain (dual-time) session on a
+// 2-pool platform. The session is created once (as a server would) and the
+// loop measures the steady-state scheduling cost.
 func runDual(c Case) (Result, error) {
 	ctx := context.Background()
 	sess, pp, err := dualFixture(c)
@@ -284,8 +285,8 @@ func multiFixture(c Case) (*multi.Instance, multi.Platform, error) {
 }
 
 // runPeaks computes the MemHEFT schedule of a case's fixture once — through
-// the Session on the dual path, with the incremental k-pool engine when
-// Pools >= 2 — and measures MemoryPeaks alone on it, the same workload as
+// a plain Session on the dual fixture, on the k-pool fixture when Pools >= 2
+// — and measures MemoryPeaks alone on it, the same workload as
 // BenchmarkPeaks* in bench_test.go.
 func runPeaks(c Case) (Result, error) {
 	ctx := context.Background()
@@ -309,7 +310,7 @@ func runPeaks(c Case) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		peaks = func() { res.Schedule.MemoryPeaks() }
+		peaks = func() { res.Pools.MemoryPeaks() }
 	}
 	br := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	memsched "repro"
+	"repro/internal/platform"
 	"repro/internal/schedule"
 )
 
@@ -102,7 +103,7 @@ func run(w io.Writer, graphPath string, example bool, algo string, pBlue, pRed i
 	if err := res.Validate(); err != nil {
 		return fmt.Errorf("internal error: produced schedule fails validation: %w", err)
 	}
-	s := res.Schedule
+	s := dualView(g, res.Pools)
 
 	peaks := res.PeakResidency()
 	fmt.Fprintf(w, "algorithm : %s\n", res.Stats.Scheduler)
@@ -136,6 +137,23 @@ func run(w io.Writer, graphPath string, example bool, algo string, pBlue, pRed i
 		}
 	}
 	return nil
+}
+
+// dualView presents a 2-pool schedule in the dual-memory model's terms
+// (pool 0 blue, pool 1 red), the view the timeline, SVG and JSON outputs
+// render.
+func dualView(g *memsched.Graph, s *memsched.PoolSchedule) *schedule.Schedule {
+	pools := s.Platform.Pools
+	out := &schedule.Schedule{
+		Graph:     g,
+		Platform:  platform.New(pools[0].Procs, pools[1].Procs, pools[0].Capacity, pools[1].Capacity),
+		Tasks:     make([]schedule.TaskPlacement, len(s.Tasks)),
+		CommStart: s.CommStart,
+	}
+	for i, t := range s.Tasks {
+		out.Tasks[i] = schedule.TaskPlacement{Start: t.Start, Proc: t.Proc}
+	}
+	return out
 }
 
 // sanitize replaces the NaN markers of intra-memory edges by -1 so the

@@ -34,8 +34,7 @@
 //
 // The session owns the per-graph memos that repeated scheduling reuses —
 // the pattern of every memory sweep: validated statics, seeded priority
-// lists and mean ranks for both the dual-memory and the k-pool engine, plus
-// the k-pool engine's recycled scratch buffers. It is safe for concurrent
+// lists and mean ranks. It is safe for concurrent
 // use: goroutines scheduling different graphs through different sessions
 // share nothing. Every entry point takes a context.Context with cooperative
 // cancellation; WithTimeout is a convenience wrapper over it.
@@ -44,9 +43,10 @@
 //
 //   - Schedule runs a registered heuristic (Schedulers lists them): the
 //     paper's MemHEFT and MemMinMin, their memory-oblivious references HEFT
-//     and MinMin, and the insertion-policy ablation. Dual sessions on
-//     2-pool platforms run the incremental dual-memory engine; pool-time
-//     sessions (WithPoolTimes) run the generalised k-pool engine.
+//     and MinMin, and the insertion-policy ablation. One engine serves
+//     every pool count: a session built from the graph's blue/red times
+//     schedules on 2-pool platforms, a pool-time session (WithPoolTimes)
+//     on platforms as wide as its matrix.
 //   - Optimal runs the exact branch-and-bound reference over list
 //     schedules, reporting nodes explored and whether optimality was
 //     proven.
@@ -55,7 +55,7 @@
 //
 // Each call returns a Result carrying the schedule plus structured stats:
 // makespan, per-pool peak residency, candidate-cache hit rate, per-pool
-// task counts (k-pool engine), search nodes, wall time.
+// task counts, search nodes, wall time.
 //
 // Session.Fork returns a twin session for contention-free parallel use:
 // forks produce bit-identical schedules and never share a mutex with their
@@ -76,11 +76,10 @@
 //
 // # Performance architecture
 //
-// The scheduling hot path is incremental in both engines (see
-// internal/core, internal/multi and internal/memfn): a commit perturbs only
-// one processor, the staircases of the touched memory pools and the
-// readiness of the committed task's children, so the engines re-derive only
-// what changed. Each pool carries an epoch counter bumped on every
+// The scheduling hot path is incremental (see internal/multi and
+// internal/memfn): a commit perturbs only one processor, the staircases of
+// the touched memory pools and the readiness of the committed task's
+// children, so the engine re-derives only what changed. Each pool carries an epoch counter bumped on every
 // mutation; candidate evaluations are memoized per (task, pool) and reused
 // while the pool's epoch and the task's parents are unchanged — on a k-pool
 // platform a commit typically leaves k-1 pools' candidates cached.
@@ -90,16 +89,15 @@
 // in O(log l) through a lazily repaired suffix-minimum array, with all
 // reservations of one commit spliced in one batched suffix-local merge pass
 // per touched pool. Sessions own the cross-run memos (priority lists, mean
-// ranks, graph statics, validation, recycled k-pool scratch), so repeated
+// ranks, graph statics, validation), so repeated
 // scheduling of the same graph — memory sweeps, benchmarks, server traffic
 // — pays the ranking phase once per (graph, seed). None of this changes
 // results: the naive implementations are retained as reference oracles
-// (MemHEFTReference / MemMinMinReference in internal/core and their k-pool
-// counterparts in internal/multi) and golden-equivalence tests assert
-// bit-identical schedules, including under concurrent session use.
-// docs/ARCHITECTURE.md walks through the whole incremental architecture —
-// epoch invalidation, staircase suffix-min, session memos, the dual vs
-// k-pool routing — in one place.
+// (MemHEFTReference / MemMinMinReference in internal/multi) and
+// golden-equivalence tests assert bit-identical schedules, including under
+// concurrent session use. docs/ARCHITECTURE.md walks through the whole
+// incremental architecture — epoch invalidation, staircase suffix-min,
+// session memos — in one place.
 //
 // # Sweeps and the scheduling service
 //
@@ -115,14 +113,13 @@
 // when the request stream crosses a process boundary; embed Sessions
 // directly otherwise.
 //
-// # Deprecated flat API
+// # Removed flat API
 //
 // The pre-Session dual facade (MemHEFT, SchedulerByName, Optimal, Simulate
-// as top-level functions) survives as thin deprecated wrappers. The
-// parallel Multi* type names (MultiPlatform, MultiInstance, MultiMemHEFT,
-// ErrMultiMemoryBound, ...) completed their deprecation cycle and have been
-// removed — pool-aware callers use the unified Platform/Pool surface and a
-// Session. See docs/MIGRATION.md for the full mapping.
+// as top-level functions) and the parallel Multi* type names completed
+// their deprecation cycles and have been removed; callers use a Session on
+// the unified Platform/Pool surface. See docs/MIGRATION.md for the full
+// mapping.
 //
 // See the examples/ directory for complete programs.
 package memsched

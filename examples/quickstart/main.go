@@ -56,7 +56,7 @@ func main() {
 		switch {
 		case err != nil:
 			log.Fatal(err)
-		case opt.Schedule == nil:
+		case opt.Pools == nil:
 			fmt.Println("  optimal    infeasible for every list schedule")
 		default:
 			fmt.Printf("  optimal    makespan %-4g (proven=%v, %d nodes)\n",

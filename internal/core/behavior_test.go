@@ -118,7 +118,7 @@ func TestPartialCloneIsDeepEnough(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 10, 10)
 	st := NewPartial(g, p)
-	c1 := st.Evaluate(0, platform.Red)
+	c1 := st.Evaluate(0, red)
 	if !c1.Feasible() {
 		t.Fatal("T1 should fit")
 	}
@@ -131,7 +131,7 @@ func TestPartialCloneIsDeepEnough(t *testing.T) {
 		t.Fatal("commit on clone mutated original schedule")
 	}
 	// Original can still commit independently.
-	st.Commit(st.Evaluate(0, platform.Blue))
+	st.Commit(st.Evaluate(0, blue))
 	if st.MakespanSoFar() != 3 { // blue time of T1
 		t.Fatalf("original makespan %g", st.MakespanSoFar())
 	}
@@ -147,7 +147,7 @@ func TestPartialReadyTasksEvolution(t *testing.T) {
 	if len(r) != 1 || r[0] != 0 {
 		t.Fatalf("initial ready = %v", r)
 	}
-	st.Commit(st.Evaluate(0, platform.Red))
+	st.Commit(st.Evaluate(0, red))
 	r = st.ReadyTasks()
 	if len(r) != 2 || r[0] != 1 || r[1] != 2 {
 		t.Fatalf("ready after T1 = %v", r)
@@ -159,7 +159,7 @@ func TestPartialReadyTasksEvolution(t *testing.T) {
 
 // TestStressLinalgAllHeuristicsValidate runs every heuristic over a grid of
 // factorisation sizes and memory bounds and validates every produced
-// schedule — an integration sweep across linalg, core and schedule.
+// schedule.
 func TestStressLinalgAllHeuristicsValidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress sweep")
@@ -172,7 +172,7 @@ func TestStressLinalgAllHeuristicsValidate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blue, red := ref.MemoryPeaks()
+			blue, red := peaks(ref)
 			peak := blue
 			if red > peak {
 				peak = red
@@ -196,12 +196,8 @@ func TestStressLinalgAllHeuristicsValidate(t *testing.T) {
 
 func buildLinalg(t *testing.T, kind string, n int) *dag.Graph {
 	t.Helper()
-	// Local import-free construction: replicate via dag fixtures is not
-	// possible, so use a tiny kernel-weighted chain-of-levels stand-in
-	// when linalg is unavailable. The real builders live in
-	// internal/linalg; importing them here would create an import cycle
-	// in tests (linalg's tests import core), so we approximate with a
-	// dense layered graph of comparable shape.
+	// A dense layered graph of the factorisations' shape, with
+	// kernel-like weights; the real builders live in internal/linalg.
 	g := dag.New()
 	var prev []dag.TaskID
 	for level := 0; level < n*2; level++ {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/multi"
 	"repro/internal/platform"
 )
 
@@ -24,42 +26,35 @@ func buildChain(extra bool) *dag.Graph {
 }
 
 // TestCachesPriorityListInvalidation checks that the per-session
-// (graph, seed) memo is a pure cache: repeated calls return equal fresh
+// (instance, seed) memo is a pure cache: repeated calls return equal fresh
 // slices, mutating the returned slice is safe, a different seed misses, and
 // growing the graph after a hit invalidates the entry.
 func TestCachesPriorityListInvalidation(t *testing.T) {
 	g := buildChain(false)
-	c := NewCaches()
-	l1, err := c.PriorityList(nil, g, 7)
+	c := multi.NewCaches()
+	l1, err := c.PriorityList(nil, instanceOf(g), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := c.PriorityList(nil, g, 7)
+	l2, err := c.PriorityList(nil, instanceOf(g), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l1) != len(l2) {
-		t.Fatalf("cached list length %d, want %d", len(l2), len(l1))
-	}
-	for i := range l1 {
-		if l1[i] != l2[i] {
-			t.Fatalf("cached list %v differs from first %v", l2, l1)
-		}
+	if !slices.Equal(l1, l2) {
+		t.Fatalf("cached list %v differs from first %v", l2, l1)
 	}
 	// The returned slice must be caller-owned.
 	l2[0], l2[len(l2)-1] = l2[len(l2)-1], l2[0]
-	l3, err := c.PriorityList(nil, g, 7)
+	l3, err := c.PriorityList(nil, instanceOf(g), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range l1 {
-		if l3[i] != l1[i] {
-			t.Fatalf("mutating a returned list corrupted the cache: %v, want %v", l3, l1)
-		}
+	if !slices.Equal(l3, l1) {
+		t.Fatalf("mutating a returned list corrupted the cache: %v, want %v", l3, l1)
 	}
 	// Grow the graph: the memo must miss and reflect the new task.
 	g.AddTask("late", 1, 1)
-	l4, err := c.PriorityList(nil, g, 7)
+	l4, err := c.PriorityList(nil, instanceOf(g), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,74 +69,76 @@ func TestCachesPriorityListInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg, err := c.PriorityList(nil, g, 13)
+	lg, err := c.PriorityList(nil, instanceOf(g), 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range lf {
-		if lf[i] != lg[i] {
-			t.Fatalf("seed switch returned stale list %v, want %v", lg, lf)
-		}
+	if !slices.Equal(lf, lg) {
+		t.Fatalf("seed switch returned stale list %v, want %v", lg, lf)
 	}
 }
 
-// TestCachesPriorityListBounded checks the per-seed memo cannot grow
-// without bound: far more seeds than the cap leave at most the cap behind.
+// TestCachesPriorityListBounded drives far more seeds through one memo than
+// it keeps: evicted seeds must recompute to the same lists, never serve
+// another seed's.
 func TestCachesPriorityListBounded(t *testing.T) {
-	g := buildChain(false)
-	c := NewCaches()
-	for seed := int64(0); seed < 4*maxPriorityEntries; seed++ {
-		if _, err := c.PriorityList(nil, g, seed); err != nil {
-			t.Fatal(err)
+	g := randomDAG(8, 12)
+	in := instanceOf(g)
+	c := multi.NewCaches()
+	const seeds = 256
+	for round := 0; round < 2; round++ {
+		for seed := int64(0); seed < seeds; seed++ {
+			got, err := c.PriorityList(nil, in, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := PriorityList(nil, g, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d seed %d: memo served %v, want %v", round, seed, got, want)
+			}
 		}
-	}
-	c.mu.Lock()
-	n := c.priority.Len()
-	c.mu.Unlock()
-	if n > maxPriorityEntries {
-		t.Fatalf("priority memo grew to %d entries, cap is %d", n, maxPriorityEntries)
 	}
 }
 
-// TestCachesStaticsInvalidation checks that the memoized per-graph inputs
+// TestCachesStaticsInvalidation checks that the memoized per-instance inputs
 // of NewPartialCached track graph growth.
 func TestCachesStaticsInvalidation(t *testing.T) {
 	g := buildChain(false)
-	c := NewCaches()
-	p := platform.New(1, 1, 100, 100)
-	st := NewPartialCached(g, p, c)
+	c := multi.NewCaches()
+	// Capacity 2 holds task 0's outputs (2) exactly, but not 3.
+	p := multi.FromDualPlatform(platform.New(1, 1, 2, 2))
+	st := multi.NewPartialCached(instanceOf(g), p, c)
 	if got := len(st.ReadyTasks()); got != 1 {
 		t.Fatalf("chain has %d sources, want 1", got)
 	}
-	if st.outFiles[0] != 2 {
-		t.Fatalf("task 0 outFiles = %d, want 2", st.outFiles[0])
+	if !st.Evaluate(0, blue).Feasible() {
+		t.Fatal("task 0's 2 output units do not fit a capacity of 2")
 	}
-	// Add a second edge out of task 0 and a new source: statics must
-	// refresh.
+	// Add a second edge out of task 0: its outputs grow to 3.
 	g = buildChain(true)
-	st2 := NewPartialCached(g, p, c)
-	if st2.outFiles[0] != 3 {
-		t.Fatalf("after growth, task 0 outFiles = %d, want 3", st2.outFiles[0])
+	st2 := multi.NewPartialCached(instanceOf(g), p, c)
+	if st2.Evaluate(0, blue).Feasible() {
+		t.Fatal("stale statics: task 0 still fits after its outputs grew to 3")
 	}
-	// Same pointer growth (the dangerous case): mutate g in place.
+	// Add a new source: the ready set must see it.
 	g.AddTask("src2", 4, 4)
-	st3 := NewPartialCached(g, p, c)
-	if len(st3.pending) != g.NumTasks() {
-		t.Fatalf("stale statics: pending has %d entries, graph %d tasks", len(st3.pending), g.NumTasks())
-	}
+	st3 := multi.NewPartialCached(instanceOf(g), p, c)
 	if got := len(st3.ReadyTasks()); got != 2 {
 		t.Fatalf("after adding a source, %d ready tasks, want 2", got)
 	}
 	// Validate: a valid graph caches success; a new graph revalidates.
-	if err := c.Validate(g); err != nil {
+	if err := c.Validate(instanceOf(g), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Validate(g); err != nil {
+	if err := c.Validate(instanceOf(g), 2); err != nil {
 		t.Fatal(err)
 	}
 	bad := dag.New()
 	bad.AddTask("x", -1, 1)
-	if err := c.Validate(bad); err == nil {
+	if err := c.Validate(instanceOf(bad), 2); err == nil {
 		t.Fatal("negative processing time not rejected through the cache")
 	}
 }
@@ -150,8 +147,8 @@ func TestCachesStaticsInvalidation(t *testing.T) {
 // caller takes: no cache, same results.
 func TestNilCachesComputeFresh(t *testing.T) {
 	g := buildChain(true)
-	var c *Caches
-	list, err := c.PriorityList(nil, g, 3)
+	var c *multi.Caches
+	list, err := c.PriorityList(nil, instanceOf(g), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +156,13 @@ func TestNilCachesComputeFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range pure {
-		if list[i] != pure[i] {
-			t.Fatalf("nil-cache list %v, want %v", list, pure)
-		}
+	if !slices.Equal(list, pure) {
+		t.Fatalf("nil-cache list %v, want %v", list, pure)
 	}
-	if err := c.Validate(g); err != nil {
+	if err := c.Validate(instanceOf(g), 2); err != nil {
 		t.Fatal(err)
 	}
-	if NewPartialCached(g, platform.New(1, 1, 10, 10), nil) == nil {
+	if multi.NewPartialCached(instanceOf(g), multi.FromDualPlatform(platform.New(1, 1, 10, 10)), nil) == nil {
 		t.Fatal("nil-cache NewPartialCached failed")
 	}
 }
@@ -176,36 +171,36 @@ func TestNilCachesComputeFresh(t *testing.T) {
 // (the session concurrency contract); run with -race.
 func TestCachesConcurrentSameGraph(t *testing.T) {
 	g := buildChain(true)
-	c := NewCaches()
+	in := instanceOf(g)
+	c := multi.NewCaches()
 	want, err := PriorityList(nil, g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := multi.FromDualPlatform(platform.New(2, 1, 50, 50))
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if err := c.Validate(g); err != nil {
+				if err := c.Validate(in, 2); err != nil {
 					errs <- err
 					return
 				}
-				list, err := c.PriorityList(nil, g, 5)
+				list, err := c.PriorityList(nil, in, 5)
 				if err != nil {
 					errs <- err
 					return
 				}
-				for j := range want {
-					if list[j] != want[j] {
-						t.Errorf("goroutine saw list %v, want %v", list, want)
-						return
-					}
+				if !slices.Equal(list, want) {
+					t.Errorf("goroutine saw list %v, want %v", list, want)
+					return
 				}
-				_ = NewPartialCached(g, platform.New(2, 1, 50, 50), c)
+				_ = multi.NewPartialCached(in, p, c)
 			}
-		}(int64(w))
+		}()
 	}
 	wg.Wait()
 	close(errs)

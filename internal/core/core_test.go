@@ -7,12 +7,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	memsched "repro"
 	"repro/internal/dag"
+	"repro/internal/multi"
 	"repro/internal/platform"
-	"repro/internal/schedule"
 )
 
-func mustSchedule(t *testing.T, f Func, g *dag.Graph, p platform.Platform, seed int64) *schedule.Schedule {
+func mustSchedule(t *testing.T, f Func, g *dag.Graph, p platform.Platform, seed int64) *multi.Schedule {
 	t.Helper()
 	s, err := f(tctx, g, p, Options{Seed: seed})
 	if err != nil {
@@ -97,7 +98,7 @@ func TestMemHEFTRespectsMemoryBounds(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("M=%d: invalid schedule: %v", m, err)
 		}
-		blue, red := s.MemoryPeaks()
+		blue, red := peaks(s)
 		if blue > m || red > m {
 			t.Fatalf("M=%d: peaks (%d,%d) exceed bound", m, blue, red)
 		}
@@ -115,7 +116,7 @@ func TestMemMinMinRespectsMemoryBounds(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("M=%d: invalid schedule: %v", m, err)
 		}
-		blue, red := s.MemoryPeaks()
+		blue, red := peaks(s)
 		if blue > m || red > m {
 			t.Fatalf("M=%d: peaks (%d,%d) exceed bound", m, blue, red)
 		}
@@ -128,7 +129,7 @@ func TestMemHEFTEqualsHEFTWithPlentifulMemory(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 0, 0)
 	h := mustSchedule(t, HEFT, g, p, 7)
-	hb, hr := h.MemoryPeaks()
+	hb, hr := peaks(h)
 	mh := mustSchedule(t, MemHEFT, g, p.WithBounds(hb, hr), 7)
 	for i := 0; i < g.NumTasks(); i++ {
 		if h.Tasks[i] != mh.Tasks[i] {
@@ -243,12 +244,17 @@ func TestZeroCostBroadcastTasks(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
+	sess, err := memsched.NewSession(dag.PaperExample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := memsched.NewDualPlatform(1, 1, 10, 10)
 	for _, name := range []string{"heft", "minmin", "memheft", "memminmin"} {
-		if _, err := ByName(name); err != nil {
-			t.Fatalf("ByName(%s): %v", name, err)
+		if _, err := sess.Schedule(tctx, p, memsched.WithScheduler(name)); err != nil {
+			t.Fatalf("WithScheduler(%s): %v", name, err)
 		}
 	}
-	if _, err := ByName("bogus"); err == nil {
+	if _, err := sess.Schedule(tctx, p, memsched.WithScheduler("bogus")); err == nil {
 		t.Fatal("bogus name accepted")
 	}
 }
@@ -287,7 +293,7 @@ func TestRedOnlyPlatform(t *testing.T) {
 		t.Fatalf("makespan = %g, want 7", ms)
 	}
 	for i := range s.Tasks {
-		if s.MemoryOf(dag.TaskID(i)) != platform.Red {
+		if s.PoolOf(dag.TaskID(i)) != red {
 			t.Fatal("task not on red on red-only platform")
 		}
 	}
@@ -353,7 +359,7 @@ func TestPropertyBoundedRunsRespectBounds(t *testing.T) {
 			if err := s.Validate(); err != nil {
 				return false
 			}
-			blue, red := s.MemoryPeaks()
+			blue, red := peaks(s)
 			if blue > bound || red > bound {
 				return false
 			}
@@ -378,7 +384,7 @@ func TestPropertyMakespanAtLeastCriticalPath(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if s.Makespan() < cp-schedule.Eps {
+			if s.Makespan() < cp-multi.Eps {
 				return false
 			}
 		}
@@ -432,7 +438,7 @@ func TestConservativeCommWindowNeverUnderestimates(t *testing.T) {
 	g.MustAddEdge(b, c, 4, 1)
 	p := platform.New(2, 1, 20, 20)
 	s := mustSchedule(t, MemMinMin, g, p, 1)
-	if s.MemoryOf(c) != platform.Red {
+	if s.PoolOf(c) != red {
 		t.Skip("heuristic placed c on blue; conservative window untested here")
 	}
 	ea, _ := g.EdgeBetween(a, c)

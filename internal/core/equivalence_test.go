@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/daggen"
+	"repro/internal/multi"
 	"repro/internal/platform"
-	"repro/internal/schedule"
 )
 
 // The golden-equivalence suite: the incremental schedulers (epoch-memoized
@@ -19,7 +19,7 @@ import (
 
 // sameSchedule compares two schedules field by field with exact float
 // equality — the incremental engine must not perturb a single bit.
-func sameSchedule(t *testing.T, tag string, got, want *schedule.Schedule) {
+func sameSchedule(t *testing.T, tag string, got, want *multi.Schedule) {
 	t.Helper()
 	if len(got.Tasks) != len(want.Tasks) {
 		t.Fatalf("%s: %d task placements, want %d", tag, len(got.Tasks), len(want.Tasks))
@@ -50,7 +50,7 @@ func checkPair(t *testing.T, tag string, opt, ref Func, g *dag.Graph, p platform
 // checkPairCached is checkPair with the optimized side running under a
 // caller-owned cache set (the session configuration); a cache shared across
 // many calls must not perturb a single bit either.
-func checkPairCached(t *testing.T, tag string, opt, ref Func, g *dag.Graph, p platform.Platform, seed int64, caches *Caches) (failed bool) {
+func checkPairCached(t *testing.T, tag string, opt, ref Func, g *dag.Graph, p platform.Platform, seed int64, caches *multi.Caches) (failed bool) {
 	t.Helper()
 	so, eo := opt(tctx, g, p, Options{Seed: seed, Caches: caches})
 	sr, er := ref(tctx, g, p, Options{Seed: seed})
@@ -92,14 +92,14 @@ func TestGoldenEquivalenceRandomSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		peakBlue, peakRed := s.MemoryPeaks()
+		peakBlue, peakRed := peaks(s)
 		peak := peakBlue
 		if peakRed > peak {
 			peak = peakRed
 		}
 		// One cache set per graph, shared across the whole pressure
 		// sweep — the exact configuration a session runs with.
-		caches := NewCaches()
+		caches := multi.NewCaches()
 		for _, alpha := range alphas {
 			bound := int64(alpha * float64(peak))
 			bp := p.WithBounds(bound, bound)
@@ -128,49 +128,6 @@ func TestGoldenEquivalenceLowMemoryFailures(t *testing.T) {
 	}
 }
 
-// TestGoldenEquivalenceInsertionPolicy checks the insertion-based variant
-// against a reference run with caching disabled, exercising the shared
-// static-part and commit machinery under the gap-filling policy.
-func TestGoldenEquivalenceInsertionPolicy(t *testing.T) {
-	g, err := daggen.Generate(daggen.SmallParams(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := platform.New(2, 2, 400, 400)
-	got, err := MemHEFTInsertion(tctx, g, p, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference: same algorithm with the incremental caches bypassed.
-	remaining, err := PriorityList(nil, g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewPartial(g, p)
-	st.ins = newInsertionState(p.TotalProcs())
-	st.noCache = true
-	for len(remaining) > 0 {
-		placed := false
-		for index, id := range remaining {
-			if !st.readyByScan(id) {
-				continue
-			}
-			c := st.Best(id)
-			if !c.Feasible() {
-				continue
-			}
-			st.Commit(c)
-			remaining = append(remaining[:index], remaining[index+1:]...)
-			placed = true
-			break
-		}
-		if !placed {
-			t.Fatal("reference insertion run stuck")
-		}
-	}
-	sameSchedule(t, "insertion", got, st.Schedule())
-}
-
 // TestIncrementalStateMatchesScans replays a schedule commit by commit and
 // cross-checks every piece of incremental bookkeeping (ready list, ready
 // predicate, running makespan) against its naive scan on each step.
@@ -185,7 +142,7 @@ func TestIncrementalStateMatchesScans(t *testing.T) {
 		// Naive ready scan.
 		var want []dag.TaskID
 		for i := 0; i < g.NumTasks(); i++ {
-			if st.readyByScan(dag.TaskID(i)) {
+			if readyByScan(st, g, dag.TaskID(i)) {
 				want = append(want, dag.TaskID(i))
 			}
 		}
@@ -200,15 +157,15 @@ func TestIncrementalStateMatchesScans(t *testing.T) {
 		}
 		for i := 0; i < g.NumTasks(); i++ {
 			id := dag.TaskID(i)
-			if st.Ready(id) != st.readyByScan(id) {
-				t.Fatalf("Ready(%d) = %v, scan says %v", id, st.Ready(id), st.readyByScan(id))
+			if st.Ready(id) != readyByScan(st, g, id) {
+				t.Fatalf("Ready(%d) = %v, scan says %v", id, st.Ready(id), readyByScan(st, g, id))
 			}
 		}
-		if ms, scan := st.MakespanSoFar(), st.makespanByScan(); ms != scan {
+		if ms, scan := st.MakespanSoFar(), makespanByScan(st, g); ms != scan {
 			t.Fatalf("MakespanSoFar = %g, scan says %g", ms, scan)
 		}
 		// Commit the min-EFT candidate, as MemMinMin would.
-		best := Candidate{EFT: math.Inf(1)}
+		best := multi.Candidate{EFT: math.Inf(1)}
 		for _, id := range got {
 			if c := st.Best(id); c.EFT < best.EFT {
 				best = c
@@ -219,7 +176,7 @@ func TestIncrementalStateMatchesScans(t *testing.T) {
 		}
 		st.Commit(best)
 	}
-	if ms, scan := st.MakespanSoFar(), st.makespanByScan(); ms != scan {
+	if ms, scan := st.MakespanSoFar(), makespanByScan(st, g); ms != scan {
 		t.Fatalf("final MakespanSoFar = %g, scan says %g", ms, scan)
 	}
 }
@@ -255,7 +212,7 @@ func TestCloneIntoIndependence(t *testing.T) {
 
 	msBefore := st.MakespanSoFar()
 	readyBefore := append([]dag.TaskID(nil), st.ReadyTasks()...)
-	for _, c := range []*Partial{clone, clone2} {
+	for _, c := range []*multi.Partial{clone, clone2} {
 		ready := c.ReadyTasks()
 		if len(ready) != len(readyBefore) {
 			t.Fatalf("clone ready %v, want %v", ready, readyBefore)

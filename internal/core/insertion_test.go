@@ -8,42 +8,6 @@ import (
 	"repro/internal/platform"
 )
 
-func TestInsertionStateGapSearch(t *testing.T) {
-	is := newInsertionState(1)
-	is.insert(0, 2, 3) // busy [2,5)
-	is.insert(0, 8, 2) // busy [8,10)
-	cases := []struct {
-		lb, w, want float64
-	}{
-		{0, 2, 0},  // fits before the first interval
-		{0, 3, 5},  // too wide for [0,2), next gap is [5,8)
-		{0, 4, 10}, // only after everything
-		{3, 1, 5},  // lb inside a busy interval
-		{6, 2, 6},  // fits inside [5,8)
-		{6, 3, 10}, // too wide for the remainder of [5,8)
-		{12, 1, 12},
-	}
-	for _, c := range cases {
-		if got := is.earliestFitOn(0, c.lb, c.w); got != c.want {
-			t.Fatalf("earliestFitOn(lb=%g,w=%g) = %g, want %g", c.lb, c.w, got, c.want)
-		}
-	}
-}
-
-func TestInsertionStateInsertKeepsOrder(t *testing.T) {
-	is := newInsertionState(1)
-	is.insert(0, 8, 1)
-	is.insert(0, 2, 1)
-	is.insert(0, 5, 1)
-	prev := -1.0
-	for _, iv := range is.busy[0] {
-		if iv.start < prev {
-			t.Fatalf("busy list unsorted: %+v", is.busy[0])
-		}
-		prev = iv.start
-	}
-}
-
 func TestMemHEFTInsertionProducesValidSchedules(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(seed, 20)
@@ -56,7 +20,7 @@ func TestMemHEFTInsertionProducesValidSchedules(t *testing.T) {
 			if s.Validate() != nil {
 				return false
 			}
-			blue, red := s.MemoryPeaks()
+			blue, red := peaks(s)
 			if blue > bound || red > bound {
 				return false
 			}
@@ -65,40 +29,6 @@ func TestMemHEFTInsertionProducesValidSchedules(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInsertionNeverWorsePerDecision(t *testing.T) {
-	// From the same partial state, the insertion policy's EST is <= the
-	// append policy's EST for every (task, memory) pair: a queue tail is
-	// always also a gap.
-	g := dag.PaperExample()
-	p := platform.New(1, 1, 100, 100)
-	app := NewPartial(g, p)
-	ins := NewPartial(g, p)
-	ins.ins = newInsertionState(p.TotalProcs())
-
-	// Drive both with the same commits (from the append policy).
-	for !app.Done() {
-		var chosen Candidate
-		found := false
-		for _, id := range app.ReadyTasks() {
-			for _, mu := range platform.Memories {
-				ca := app.Evaluate(id, mu)
-				ci := ins.Evaluate(id, mu)
-				if ca.Feasible() && ci.EST > ca.EST+1e-9 {
-					t.Fatalf("task %d on %v: insertion EST %g > append EST %g", id, mu, ci.EST, ca.EST)
-				}
-				if ca.Feasible() && !found {
-					chosen, found = ca, true
-				}
-			}
-		}
-		if !found {
-			t.Fatal("stuck")
-		}
-		app.Commit(chosen)
-		ins.Commit(ins.Evaluate(chosen.Task, chosen.Mem))
 	}
 }
 

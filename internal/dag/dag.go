@@ -7,8 +7,8 @@
 //
 // The package offers construction, validation, topological orders, the
 // upward-rank priority of HEFT, memory requirement queries, and JSON / DOT
-// serialisation. It contains no scheduling logic; see internal/core for the
-// heuristics.
+// serialisation. It contains no scheduling logic; see internal/multi for
+// the heuristics.
 package dag
 
 import (
@@ -241,8 +241,9 @@ func (g *Graph) TotalWork(blue bool) float64 {
 	return sum
 }
 
-// TotalMinWork returns the sum over tasks of min(WBlue, WRed); it is the
-// aggregate work lower bound used by exact.LowerBound.
+// TotalMinWork returns the sum over tasks of min(WBlue, WRed): the
+// aggregate work of exact.LowerBound on a graph's dual instance, which the
+// exact tests compare against.
 func (g *Graph) TotalMinWork() float64 {
 	var sum float64
 	for _, t := range g.tasks {

@@ -5,10 +5,9 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/daggen"
+	"repro/internal/multi"
 	"repro/internal/platform"
-	"repro/internal/schedule"
 )
 
 // naiveSearcher mirrors Solve with the pre-incremental search mechanics: a
@@ -19,13 +18,13 @@ import (
 type naiveSearcher struct {
 	bottom  []float64
 	best    float64
-	bestSch *schedule.Schedule
+	bestSch *multi.Schedule
 	nodes   int
 	max     int
 	stopped bool
 }
 
-func (s *naiveSearcher) dfs(st *core.Partial) {
+func (s *naiveSearcher) dfs(st *multi.Partial) {
 	s.nodes++
 	if s.stopped || s.nodes > s.max {
 		s.stopped = true
@@ -34,14 +33,14 @@ func (s *naiveSearcher) dfs(st *core.Partial) {
 	if st.Done() {
 		if ms := st.MakespanSoFar(); ms < s.best || s.bestSch == nil {
 			s.best = ms
-			s.bestSch = snapshot(st.Schedule())
+			s.bestSch = st.Schedule().Clone()
 		}
 		return
 	}
-	var moves []core.Candidate
+	var moves []multi.Candidate
 	for _, id := range st.ReadyTasks() {
-		for _, mu := range platform.Memories {
-			if c := st.Evaluate(id, mu); c.Feasible() {
+		for k := 0; k < 2; k++ {
+			if c := st.Evaluate(id, k); c.Feasible() {
 				moves = append(moves, c)
 			}
 		}
@@ -50,7 +49,7 @@ func (s *naiveSearcher) dfs(st *core.Partial) {
 	for _, mv := range moves {
 		child := st.Clone()
 		child.Commit(mv)
-		if lbOf(child, s.bottom) >= s.best-schedule.Eps {
+		if lbOf(child, s.bottom) >= s.best-multi.Eps {
 			continue
 		}
 		s.dfs(child)
@@ -71,18 +70,18 @@ func TestSearchMatchesNaiveClonePerNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := platform.New(1, 1, 60, 60)
-		res, err := Solve(tctx, g, p, Options{MaxNodes: 30000})
+		in, p := inst(g), pools(platform.New(1, 1, 60, 60))
+		res, err := Solve(tctx, in, p, Options{MaxNodes: 30000})
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		bottom, err := bottomLevels(g)
+		bottom, err := bottomLevels(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ns := &naiveSearcher{bottom: bottom, best: math.Inf(1), max: 30000}
-		ns.dfs(core.NewPartial(g, p))
+		ns.dfs(multi.NewPartial(in, p))
 
 		if ns.nodes != res.Nodes {
 			t.Fatalf("seed %d: pooled search visited %d nodes, naive %d", seed, res.Nodes, ns.nodes)

@@ -18,22 +18,49 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/platform"
-	"repro/internal/schedule"
+	"repro/internal/multi"
 )
+
+// minTime returns a task's best-case processing time over the pools.
+func minTime(row []float64) float64 {
+	w := row[0]
+	for _, x := range row[1:] {
+		w = min(w, x)
+	}
+	return w
+}
 
 // LowerBound returns a makespan lower bound valid for every schedule on the
 // platform, memory aside: the maximum of the critical path with best-case
-// processing times and the aggregate best-case work spread over all
+// processing times (communications cost nothing: a schedule may keep a
+// path on one pool) and the aggregate best-case work spread over all
 // processors. It is the "Lower bound" curve of Figure 11.
-func LowerBound(g *dag.Graph, p platform.Platform) (float64, error) {
-	cp, err := g.CriticalPathLength()
+func LowerBound(in *multi.Instance, p multi.Platform) (float64, error) {
+	g := in.G
+	order, err := g.TopologicalOrder()
 	if err != nil {
 		return 0, err
 	}
-	work := g.TotalMinWork() / float64(p.TotalProcs())
+	finish := make([]float64, g.NumTasks())
+	cp := 0.0
+	for _, id := range order {
+		start := 0.0
+		for _, e := range g.In(id) {
+			if f := finish[g.Edge(e).From]; f > start {
+				start = f
+			}
+		}
+		finish[id] = start + minTime(in.Times[id])
+		if finish[id] > cp {
+			cp = finish[id]
+		}
+	}
+	var work float64
+	for _, row := range in.Times {
+		work += minTime(row)
+	}
+	work /= float64(p.TotalProcs())
 	return math.Max(cp, work), nil
 }
 
@@ -73,13 +100,13 @@ type Options struct {
 	Timeout time.Duration
 	// Incumbent seeds the search with a known feasible schedule (e.g. a
 	// heuristic result); branches that cannot beat it are pruned.
-	Incumbent *schedule.Schedule
+	Incumbent *multi.Schedule
 	// FeasibilityOnly stops at the first complete schedule and disables
 	// bound pruning.
 	FeasibilityOnly bool
-	// Caches, when non-nil, serves the per-graph memos (statics,
+	// Caches, when non-nil, serves the per-instance memos (statics,
 	// validation) owned by the caller — typically a memsched.Session.
-	Caches *core.Caches
+	Caches *multi.Caches
 }
 
 // DefaultMaxNodes is the node budget used when Options.MaxNodes is zero.
@@ -88,17 +115,16 @@ const DefaultMaxNodes = 500000
 // Result reports the outcome of a search.
 type Result struct {
 	Status   Status
-	Makespan float64            // makespan of Schedule; +inf when none
-	Schedule *schedule.Schedule // best complete schedule known (may be the seeded incumbent)
+	Makespan float64         // makespan of Schedule; +inf when none
+	Schedule *multi.Schedule // best complete schedule known (may be the seeded incumbent)
 	Nodes    int
 }
 
 type searcher struct {
-	g        *dag.Graph
-	p        platform.Platform
+	p        multi.Platform
 	bottom   []float64 // per task: min-W critical path to a sink, inclusive
 	best     float64
-	bestSch  *schedule.Schedule
+	bestSch  *multi.Schedule
 	improved bool
 	nodes    int
 	maxNodes int
@@ -108,15 +134,15 @@ type searcher struct {
 
 	// pool holds exhausted Partial nodes for reuse: dfs clones into them
 	// via CloneInto instead of allocating a full new state per node.
-	pool []*core.Partial
+	pool []*multi.Partial
 	// movesStack holds one reusable candidate buffer per search depth.
-	movesStack [][]core.Candidate
+	movesStack [][]multi.Candidate
 }
 
 // getClone copies st into a pooled Partial (or a fresh one when the pool is
 // empty).
-func (s *searcher) getClone(st *core.Partial) *core.Partial {
-	var dst *core.Partial
+func (s *searcher) getClone(st *multi.Partial) *multi.Partial {
+	var dst *multi.Partial
 	if n := len(s.pool); n > 0 {
 		dst, s.pool = s.pool[n-1], s.pool[:n-1]
 	}
@@ -124,15 +150,15 @@ func (s *searcher) getClone(st *core.Partial) *core.Partial {
 }
 
 // putClone returns an exhausted node to the pool.
-func (s *searcher) putClone(st *core.Partial) {
+func (s *searcher) putClone(st *multi.Partial) {
 	s.pool = append(s.pool, st)
 }
 
-// Solve runs the branch-and-bound search for g on p. The context cancels
+// Solve runs the branch-and-bound search for in on p. The context cancels
 // the search cooperatively (checked every 1024 nodes): a cancelled search
 // is not an error, it reports the best incumbent found so far with a
 // Feasible or Unknown status, exactly like an exhausted node budget.
-func Solve(ctx context.Context, g *dag.Graph, p platform.Platform, opt Options) (*Result, error) {
+func Solve(ctx context.Context, in *multi.Instance, p multi.Platform, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -141,18 +167,18 @@ func Solve(ctx context.Context, g *dag.Graph, p platform.Platform, opt Options) 
 		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
 		defer cancel()
 	}
-	if err := opt.Caches.Validate(g); err != nil {
+	if err := opt.Caches.Validate(in, p.NumPools()); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	bottom, err := bottomLevels(g)
+	bottom, err := bottomLevels(in)
 	if err != nil {
 		return nil, err
 	}
 	s := &searcher{
-		g: g, p: p, bottom: bottom,
+		p: p, bottom: bottom,
 		best:     math.Inf(1),
 		maxNodes: opt.MaxNodes,
 		ctx:      ctx,
@@ -165,7 +191,7 @@ func Solve(ctx context.Context, g *dag.Graph, p platform.Platform, opt Options) 
 		s.bestSch = opt.Incumbent
 		s.best = opt.Incumbent.Makespan()
 	}
-	s.dfs(core.NewPartialCached(g, p, opt.Caches), 0)
+	s.dfs(multi.NewPartialCached(in, p, opt.Caches), 0)
 
 	res := &Result{Makespan: s.best, Schedule: s.bestSch, Nodes: s.nodes}
 	switch {
@@ -185,15 +211,15 @@ func Solve(ctx context.Context, g *dag.Graph, p platform.Platform, opt Options) 
 
 // bottomLevels computes, per task, the longest min-W path from the task to a
 // sink (inclusive). Used as an admissible completion estimate.
-func bottomLevels(g *dag.Graph) ([]float64, error) {
+func bottomLevels(in *multi.Instance) ([]float64, error) {
+	g := in.G
 	rev, err := g.ReverseTopologicalOrder()
 	if err != nil {
 		return nil, err
 	}
 	bl := make([]float64, g.NumTasks())
 	for _, id := range rev {
-		t := g.Task(id)
-		w := math.Min(t.WBlue, t.WRed)
+		w := minTime(in.Times[id])
 		best := 0.0
 		for _, e := range g.Out(id) {
 			if v := bl[g.Edge(e).To]; v > best {
@@ -222,7 +248,7 @@ func (s *searcher) budgetExceeded() bool {
 
 // dfs explores all completions of st depth-first. depth indexes the
 // reusable per-level candidate buffer.
-func (s *searcher) dfs(st *core.Partial, depth int) {
+func (s *searcher) dfs(st *multi.Partial, depth int) {
 	s.nodes++
 	if s.budgetExceeded() {
 		return
@@ -231,7 +257,7 @@ func (s *searcher) dfs(st *core.Partial, depth int) {
 		ms := st.MakespanSoFar()
 		if ms < s.best || s.bestSch == nil {
 			s.best = ms
-			s.bestSch = snapshot(st.Schedule())
+			s.bestSch = st.Schedule().Clone()
 			s.improved = true
 		}
 		if s.feasOnly {
@@ -245,8 +271,8 @@ func (s *searcher) dfs(st *core.Partial, depth int) {
 	}
 	moves := s.movesStack[depth][:0]
 	for _, id := range st.ReadyTasks() {
-		for _, mu := range platform.Memories {
-			if c := st.Evaluate(id, mu); c.Feasible() {
+		for k := 0; k < s.p.NumPools(); k++ {
+			if c := st.Evaluate(id, k); c.Feasible() {
 				moves = append(moves, c)
 			}
 		}
@@ -257,7 +283,7 @@ func (s *searcher) dfs(st *core.Partial, depth int) {
 	for _, mv := range moves {
 		child := s.getClone(st)
 		child.Commit(mv)
-		if !s.feasOnly && lbOf(child, s.bottom) >= s.best-schedule.Eps {
+		if !s.feasOnly && lbOf(child, s.bottom) >= s.best-multi.Eps {
 			s.putClone(child)
 			continue // cannot beat the incumbent
 		}
@@ -272,9 +298,9 @@ func (s *searcher) dfs(st *core.Partial, depth int) {
 // lbOf computes an admissible lower bound for a partial schedule: the
 // makespan so far, and for every unassigned task a precedence-only start
 // estimate plus its bottom level.
-func lbOf(st *core.Partial, bottom []float64) float64 {
+func lbOf(st *multi.Partial, bottom []float64) float64 {
 	lb := st.MakespanSoFar()
-	g := st.Schedule().Graph
+	g := st.Schedule().Inst.G
 	for i := 0; i < g.NumTasks(); i++ {
 		id := dag.TaskID(i)
 		if st.Assigned(id) {
@@ -296,22 +322,13 @@ func lbOf(st *core.Partial, bottom []float64) float64 {
 	return lb
 }
 
-func snapshot(s *schedule.Schedule) *schedule.Schedule {
-	return &schedule.Schedule{
-		Graph:     s.Graph,
-		Platform:  s.Platform,
-		Tasks:     append([]schedule.TaskPlacement(nil), s.Tasks...),
-		CommStart: append([]float64(nil), s.CommStart...),
-	}
-}
-
 // CheckFeasible reports whether any eager list schedule fits the memory bounds,
 // within the given budget. The returned status distinguishes a proven "no"
 // (Infeasible) from an exhausted budget (Unknown).
-func CheckFeasible(ctx context.Context, g *dag.Graph, p platform.Platform, opt Options) (bool, Status, error) {
+func CheckFeasible(ctx context.Context, in *multi.Instance, p multi.Platform, opt Options) (bool, Status, error) {
 	opt.FeasibilityOnly = true
 	opt.Incumbent = nil
-	res, err := Solve(ctx, g, p, opt)
+	res, err := Solve(ctx, in, p, opt)
 	if err != nil {
 		return false, Unknown, err
 	}
@@ -321,20 +338,20 @@ func CheckFeasible(ctx context.Context, g *dag.Graph, p platform.Platform, opt O
 // Enumerate exhaustively lists the makespans of every complete eager list
 // schedule of a tiny graph (guarded at 8 tasks); tests use it to validate
 // the search.
-func Enumerate(g *dag.Graph, p platform.Platform) ([]float64, error) {
-	if g.NumTasks() > 8 {
-		return nil, fmt.Errorf("exact: Enumerate is restricted to <= 8 tasks, got %d", g.NumTasks())
+func Enumerate(in *multi.Instance, p multi.Platform) ([]float64, error) {
+	if n := in.G.NumTasks(); n > 8 {
+		return nil, fmt.Errorf("exact: Enumerate is restricted to <= 8 tasks, got %d", n)
 	}
 	var out []float64
-	var rec func(st *core.Partial)
-	rec = func(st *core.Partial) {
+	var rec func(st *multi.Partial)
+	rec = func(st *multi.Partial) {
 		if st.Done() {
 			out = append(out, st.MakespanSoFar())
 			return
 		}
 		for _, id := range st.ReadyTasks() {
-			for _, mu := range platform.Memories {
-				c := st.Evaluate(id, mu)
+			for k := 0; k < p.NumPools(); k++ {
+				c := st.Evaluate(id, k)
 				if !c.Feasible() {
 					continue
 				}
@@ -344,6 +361,6 @@ func Enumerate(g *dag.Graph, p platform.Platform) ([]float64, error) {
 			}
 		}
 	}
-	rec(core.NewPartial(g, p))
+	rec(multi.NewPartial(in, p))
 	return out, nil
 }

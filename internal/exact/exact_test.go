@@ -5,15 +5,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/multi"
 	"repro/internal/platform"
 )
 
 func TestLowerBoundPaperExample(t *testing.T) {
 	g := dag.PaperExample()
 	// CP (min times) = 5; total min work 7 over 2 procs = 3.5.
-	lb, err := LowerBound(g, platform.New(1, 1, 10, 10))
+	lb, err := LowerBound(inst(g), pools(platform.New(1, 1, 10, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestLowerBoundPaperExample(t *testing.T) {
 		t.Fatalf("LowerBound = %g, want 5", lb)
 	}
 	// On a single processor the work bound dominates: 7.
-	lb, _ = LowerBound(g, platform.New(0, 1, 10, 10))
+	lb, _ = LowerBound(inst(g), pools(platform.New(0, 1, 10, 10)))
 	if lb != 7 {
 		t.Fatalf("LowerBound(1 proc) = %g, want 7", lb)
 	}
@@ -30,7 +30,7 @@ func TestLowerBoundPaperExample(t *testing.T) {
 func TestOptimalPaperExampleUnlimited(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, platform.Unlimited, platform.Unlimited)
-	res, err := Solve(tctx, g, p, Options{})
+	res, err := Solve(tctx, inst(g), pools(p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestOptimalPaperExampleMemoryFour(t *testing.T) {
 	// memory: makespan 7.
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 4, 4)
-	res, err := Solve(tctx, g, p, Options{})
+	res, err := Solve(tctx, inst(g), pools(p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestOptimalPaperExampleMemoryFour(t *testing.T) {
 	if err := res.Schedule.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	blue, red := res.Schedule.MemoryPeaks()
-	if blue > 4 || red > 4 {
+	pk := res.Schedule.MemoryPeaks()
+	if blue, red := pk[0], pk[1]; blue > 4 || red > 4 {
 		t.Fatalf("peaks (%d,%d) exceed 4", blue, red)
 	}
 }
@@ -70,14 +70,14 @@ func TestOptimalPaperExampleMemoryFour(t *testing.T) {
 func TestInfeasibleWhenMemoryTooSmall(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 2, 2) // T3 alone needs 4
-	res, err := Solve(tctx, g, p, Options{})
+	res, err := Solve(tctx, inst(g), pools(p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", res.Status)
 	}
-	ok, st, err := CheckFeasible(tctx, g, p, Options{})
+	ok, st, err := CheckFeasible(tctx, inst(g), pools(p), Options{})
 	if err != nil || ok || st != Infeasible {
 		t.Fatalf("CheckFeasible = %v/%v/%v", ok, st, err)
 	}
@@ -86,14 +86,14 @@ func TestInfeasibleWhenMemoryTooSmall(t *testing.T) {
 func TestFeasibilityOnlyStopsEarly(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 10, 10)
-	res, err := Solve(tctx, g, p, Options{FeasibilityOnly: true})
+	res, err := Solve(tctx, inst(g), pools(p), Options{FeasibilityOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Feasible || res.Schedule == nil {
 		t.Fatalf("res = %+v", res)
 	}
-	full, _ := Solve(tctx, g, p, Options{})
+	full, _ := Solve(tctx, inst(g), pools(p), Options{})
 	if res.Nodes > full.Nodes {
 		t.Fatalf("feasibility search (%d nodes) slower than full search (%d)", res.Nodes, full.Nodes)
 	}
@@ -102,18 +102,18 @@ func TestFeasibilityOnlyStopsEarly(t *testing.T) {
 func TestIncumbentPrunes(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 10, 10)
-	h, err := core.MemHEFT(tctx, g, p, core.Options{})
+	h, err := multi.MemHEFT(tctx, inst(g), pools(p), multi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(tctx, g, p, Options{Incumbent: h})
+	res, err := Solve(tctx, inst(g), pools(p), Options{Incumbent: h})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Optimal || res.Makespan > h.Makespan() {
 		t.Fatalf("res = %+v vs heuristic %g", res, h.Makespan())
 	}
-	plain, _ := Solve(tctx, g, p, Options{})
+	plain, _ := Solve(tctx, inst(g), pools(p), Options{})
 	if res.Nodes > plain.Nodes {
 		t.Fatalf("seeded search explored more nodes (%d) than unseeded (%d)", res.Nodes, plain.Nodes)
 	}
@@ -122,7 +122,7 @@ func TestIncumbentPrunes(t *testing.T) {
 func TestNodeBudgetReportsUnknownOrFeasible(t *testing.T) {
 	g := dag.Chain(6, 2, 3, 1, 1)
 	p := platform.New(1, 1, 10, 10)
-	res, err := Solve(tctx, g, p, Options{MaxNodes: 2})
+	res, err := Solve(tctx, inst(g), pools(p), Options{MaxNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestSolveMatchesEnumerateMinimum(t *testing.T) {
 	g := dag.PaperExample()
 	for _, m := range []int64{4, 5, 20} {
 		p := platform.New(1, 1, m, m)
-		all, err := Enumerate(g, p)
+		all, err := Enumerate(inst(g), pools(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(tctx, g, p, Options{})
+		res, err := Solve(tctx, inst(g), pools(p), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestSolveMatchesEnumerateMinimum(t *testing.T) {
 
 func TestEnumerateGuard(t *testing.T) {
 	g := dag.Chain(9, 1, 1, 1, 1)
-	if _, err := Enumerate(g, platform.New(1, 1, 10, 10)); err == nil {
+	if _, err := Enumerate(inst(g), pools(platform.New(1, 1, 10, 10))); err == nil {
 		t.Fatal("Enumerate accepted a 9-task graph")
 	}
 }
@@ -172,12 +172,12 @@ func TestOptimalNeverWorseThanHeuristics(t *testing.T) {
 	f := func(seed int64) bool {
 		g := smallRandom(seed)
 		p := platform.New(1, 1, 25, 25)
-		res, err := Solve(tctx, g, p, Options{MaxNodes: 300000})
+		res, err := Solve(tctx, inst(g), pools(p), Options{MaxNodes: 300000})
 		if err != nil || res.Status == Unknown || res.Status == Feasible {
 			return true // budget blowups do not falsify the property
 		}
-		for _, f := range []core.Func{core.MemHEFT, core.MemMinMin} {
-			hs, err := f(tctx, g, p, core.Options{Seed: seed})
+		for _, f := range []multi.Func{multi.MemHEFT, multi.MemMinMin} {
+			hs, err := f(tctx, inst(g), pools(p), multi.Options{Seed: seed})
 			if err != nil {
 				continue
 			}
@@ -199,7 +199,7 @@ func TestOptimalSchedulesValidate(t *testing.T) {
 	f := func(seed int64) bool {
 		g := smallRandom(seed)
 		p := platform.New(1, 1, 30, 30)
-		res, err := Solve(tctx, g, p, Options{MaxNodes: 300000})
+		res, err := Solve(tctx, inst(g), pools(p), Options{MaxNodes: 300000})
 		if err != nil {
 			return false
 		}
@@ -217,11 +217,11 @@ func TestLowerBoundHoldsForOptimal(t *testing.T) {
 	f := func(seed int64) bool {
 		g := smallRandom(seed)
 		p := platform.New(1, 1, platform.Unlimited, platform.Unlimited)
-		lb, err := LowerBound(g, p)
+		lb, err := LowerBound(inst(g), pools(p))
 		if err != nil {
 			return false
 		}
-		res, err := Solve(tctx, g, p, Options{MaxNodes: 300000})
+		res, err := Solve(tctx, inst(g), pools(p), Options{MaxNodes: 300000})
 		if err != nil || res.Schedule == nil {
 			return true
 		}
@@ -268,7 +268,7 @@ func TestTimeoutStopsSearch(t *testing.T) {
 	// a budgeted status.
 	g := smallRandom(3)
 	p := platform.New(1, 1, 30, 30)
-	res, err := Solve(tctx, g, p, Options{Timeout: 1, MaxNodes: 1 << 30})
+	res, err := Solve(tctx, inst(g), pools(p), Options{Timeout: 1, MaxNodes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +289,31 @@ func TestLowerBoundOnCyclicGraphFails(t *testing.T) {
 	b := g.AddTask("b", 1, 1)
 	g.MustAddEdge(a, b, 1, 1)
 	g.MustAddEdge(b, a, 1, 1)
-	if _, err := LowerBound(g, platform.New(1, 1, 1, 1)); err == nil {
+	if _, err := LowerBound(inst(g), pools(platform.New(1, 1, 1, 1))); err == nil {
 		t.Fatal("cyclic graph accepted")
 	}
-	if _, err := Solve(tctx, g, platform.New(1, 1, 1, 1), Options{}); err == nil {
+	if _, err := Solve(tctx, inst(g), pools(platform.New(1, 1, 1, 1)), Options{}); err == nil {
 		t.Fatal("cyclic graph accepted by Solve")
+	}
+}
+
+// TestLowerBoundMatchesDualReference: on the 2-pool instance of a graph,
+// LowerBound equals the graph's own critical path and aggregate work over
+// min(WBlue, WRed), bit for bit.
+func TestLowerBoundMatchesDualReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		g := smallRandom(seed)
+		p := platform.New(int(seed%3)+1, 2, 10, 10)
+		got, err := LowerBound(inst(g), pools(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := g.CriticalPathLength()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := math.Max(cp, g.TotalMinWork()/float64(p.TotalProcs())); got != want {
+			t.Fatalf("seed %d: LowerBound %v, dual reference %v", seed, got, want)
+		}
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
 	memsched "repro"
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/sweep"
@@ -26,7 +26,15 @@ import (
 // the larger of its two memory peaks; the paper normalises every sweep by
 // these quantities ("the amount of memory required by HEFT").
 func HEFTReference(ctx context.Context, g *dag.Graph, p platform.Platform, seed int64) (makespan float64, maxPeak int64, err error) {
-	return heftReferenceCached(ctx, g, p, seed, nil)
+	sess, err := memsched.NewSession(g)
+	if err != nil {
+		return 0, 0, err
+	}
+	res, err := sess.Schedule(ctx, poolPlatform(p), memsched.WithScheduler("heft"), memsched.WithSeed(seed))
+	if err != nil {
+		return 0, 0, fmt.Errorf("experiments: HEFT reference failed: %w", err)
+	}
+	return res.Makespan(), slices.Max(res.PeakResidency()), nil
 }
 
 // poolPlatform lifts the dual-memory platform type onto the unified pool
@@ -111,7 +119,7 @@ func NormalizedSweep(ctx context.Context, cfg NormalizedSweepConfig) (*SweepResu
 			return nil, err
 		}
 		refMS := res.Summary.RefMakespan
-		incumbents := make([]*memsched.Schedule, nA)
+		incumbents := make([]*memsched.PoolSchedule, nA)
 		for ai := range cfg.Alphas {
 			// Point index (ai, si): the grid is axis-major with one seed.
 			for si := 0; si < nS; si++ {
@@ -121,9 +129,9 @@ func NormalizedSweep(ctx context.Context, cfg NormalizedSweepConfig) (*SweepResu
 				}
 				oks[ai][si]++
 				sums[ai][si] += pr.Makespan / refMS
-				if cfg.WithOptimal && pr.Result != nil && pr.Result.Schedule != nil {
+				if cfg.WithOptimal && pr.Result != nil && pr.Result.Pools != nil {
 					if best := incumbents[ai]; best == nil || pr.Makespan < best.Makespan() {
-						incumbents[ai] = pr.Result.Schedule
+						incumbents[ai] = pr.Result.Pools
 					}
 				}
 			}
@@ -178,20 +186,6 @@ func NormalizedSweep(ctx context.Context, cfg NormalizedSweepConfig) (*SweepResu
 	return &SweepResult{Makespan: msTable, Success: srTable}, nil
 }
 
-// heftReferenceCached is HEFTReference with a session-style cache set.
-func heftReferenceCached(ctx context.Context, g *dag.Graph, p platform.Platform, seed int64, caches *core.Caches) (makespan float64, maxPeak int64, err error) {
-	s, err := core.HEFT(ctx, g, p, core.Options{Seed: seed, Caches: caches})
-	if err != nil {
-		return 0, 0, fmt.Errorf("experiments: HEFT reference failed: %w", err)
-	}
-	blue, red := s.MemoryPeaks()
-	peak := blue
-	if red > peak {
-		peak = red
-	}
-	return s.Makespan(), peak, nil
-}
-
 // AbsoluteSweepConfig drives the Figures 11/13/14/15 experiment: one DAG,
 // absolute memory bounds on the x axis, one curve per algorithm (plus
 // optionally the lower bound).
@@ -200,7 +194,7 @@ type AbsoluteSweepConfig struct {
 	Platform   platform.Platform // memory bounds ignored
 	Memories   []int64           // bounds applied to both memories
 	Seed       int64
-	Algorithms []string // names from core.Algorithms; nil = all four
+	Algorithms []string // names from memsched.Schedulers; nil = all four
 	LowerBound bool
 }
 
@@ -219,7 +213,7 @@ func AbsoluteSweep(ctx context.Context, cfg AbsoluteSweepConfig) (*Table, error)
 	}
 	// The sweep engine reports curves under normalized (lower-cased)
 	// scheduler names; normalize once so mixed-case Algorithms entries
-	// keep working like they did through core.ByName.
+	// match them.
 	names = append([]string(nil), names...)
 	for i, name := range names {
 		names[i] = strings.ToLower(strings.TrimSpace(name))

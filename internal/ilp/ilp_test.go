@@ -8,6 +8,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/exact"
 	"repro/internal/mip"
+	"repro/internal/multi"
 	"repro/internal/platform"
 )
 
@@ -176,7 +177,7 @@ func TestILPMatchesExactSearchOnTinyInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eres, err := exact.Solve(tctx, g, p, exact.Options{})
+		eres, err := exact.Solve(tctx, multi.FromDual(g), multi.FromDualPlatform(p), exact.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +202,7 @@ func TestILPNeverWorseThanExactSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := exact.Solve(tctx, g, p, exact.Options{})
+	eres, err := exact.Solve(tctx, multi.FromDual(g), multi.FromDualPlatform(p), exact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

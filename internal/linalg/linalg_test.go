@@ -5,9 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/multi"
 	"repro/internal/platform"
-
-	"repro/internal/core"
 )
 
 func TestKernelTimesMatchTable1(t *testing.T) {
@@ -283,9 +282,17 @@ func TestSchedulableOnMiragePlatform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := platform.New(12, 3, 60, 60)
-		for name, f := range core.Algorithms {
-			s, err := f(tctx, g, p, core.Options{Seed: 1})
+		in, p := multi.FromDual(g), multi.FromDualPlatform(platform.New(12, 3, 60, 60))
+		for name, run := range map[string]func() (*multi.Schedule, error){
+			"heft": func() (*multi.Schedule, error) { return multi.MemHEFT(tctx, in, p.Unbounded(), multi.Options{Seed: 1}) },
+			"minmin": func() (*multi.Schedule, error) {
+				return multi.MemMinMin(tctx, in, p.Unbounded(), multi.Options{Seed: 1})
+			},
+			"memheft":           func() (*multi.Schedule, error) { return multi.MemHEFT(tctx, in, p, multi.Options{Seed: 1}) },
+			"memminmin":         func() (*multi.Schedule, error) { return multi.MemMinMin(tctx, in, p, multi.Options{Seed: 1}) },
+			"memheft-insertion": func() (*multi.Schedule, error) { return multi.MemHEFTInsertion(tctx, in, p, multi.Options{Seed: 1}) },
+		} {
+			s, err := run()
 			if err != nil {
 				t.Fatalf("%s failed on 5x5: %v", name, err)
 			}

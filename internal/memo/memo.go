@@ -1,6 +1,5 @@
-// Package memo provides the small, bounded memoization primitives shared by
-// the per-session cache layers of the scheduling engines (core.Caches for
-// the dual-memory engine, multi.Caches for the k-pool generalisation).
+// Package memo provides the small, bounded memoization primitives of the
+// per-session cache layer (multi.Caches) and the service's session cache.
 //
 // The containers here are deliberately not concurrency-safe: the cache
 // owners already serialise access under their own mutex, and keeping the

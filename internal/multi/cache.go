@@ -8,22 +8,22 @@ import (
 	"repro/internal/memo"
 )
 
-// Caches owns the per-instance memoized scheduler inputs of the k-pool
-// engine, mirroring core.Caches for the dual engine: the instance statics
-// consumed by every Partial (output totals, in-degrees, sources), the mean
-// upward ranks, the seeded priority lists of MemHEFT, and the validation
-// results. A memsched.Session creates one Caches per k-pool instance, which
-// makes the memos concurrency-safe and contention-free across sessions by
-// construction.
+// Caches owns the per-instance memoized scheduler inputs: the instance
+// statics consumed by every Partial (output totals, in-degrees, sources),
+// the mean upward ranks, the seeded priority lists of MemHEFT, and the
+// validation results. A memsched.Session creates one Caches per instance,
+// which makes the memos concurrency-safe and contention-free across
+// sessions by construction.
 //
 // All methods tolerate a nil receiver, which simply computes fresh: the
 // reference oracles and one-shot callers pass no cache at all.
 //
 // Growth is bounded by construction: the statics and ranks are one slot (a
-// session is one instance), the priority memo holds at most
-// maxPriorityEntries seeds, and the spare slot recycles at most one Partial.
-// The task/edge counts guard against the graph growing between calls;
-// growth re-keys the cache and drops every memo.
+// session is one instance) and the priority memo holds at most
+// maxPriorityEntries seeds. The task/edge counts guard against the graph
+// growing between calls (tasks and edges are append-only and immutable once
+// added, so the counts pin the graph's content); growth re-keys the cache
+// and drops every memo.
 type Caches struct {
 	mu             sync.Mutex
 	in             *Instance
@@ -31,13 +31,6 @@ type Caches struct {
 	statics        *instanceStatics
 	ranks          []float64
 	priority       *memo.Bounded[int64, []dag.TaskID]
-
-	// spare recycles the buffers of one finished Partial (candidate slots,
-	// counters, staircases) across Schedule calls — the memory-sweep and
-	// service patterns reschedule the same instance over and over. Only
-	// the bookkeeping is reused; the produced Schedule always escapes to
-	// the caller untouched.
-	spare *Partial
 
 	// frozen is the read-only priority-list view inherited from Fork: a
 	// snapshot of the parent's memoized lists at fork time. Reads fall
@@ -57,8 +50,9 @@ type instanceStatics struct {
 	matrixWidth    int  // pool count the matrix was validated against; 0 = none
 }
 
-// maxPriorityEntries bounds the per-seed priority-list memo, matching the
-// dual engine's bound.
+// maxPriorityEntries bounds the per-seed priority-list memo. Sweeps use one
+// seed (sometimes a handful); beyond the bound an arbitrary entry is
+// evicted, which only costs a recompute.
 const maxPriorityEntries = 64
 
 // NewCaches returns an empty cache set, ready to be shared by any number of
@@ -77,18 +71,17 @@ func (c *Caches) rekey(in *Instance) {
 	if c.priority != nil {
 		c.priority.Reset()
 	}
-	c.spare = nil
 	c.frozen = nil
 }
 
-// Fork returns a child cache set born warm, mirroring core.Caches.Fork: it
-// shares the parent's immutable memos — the instance statics (inner slices
-// are never mutated once computed; the struct is copied so the validation
-// fields stay private), the mean-rank slice (immutable once stored) and a
-// frozen snapshot of the memoized priority lists — behind copy-on-write
-// semantics. The spare Partial is deliberately not shared: it is mutable
-// scratch, and each fork recycles its own. The child takes its own mutex
-// from birth and never locks the parent's again.
+// Fork returns a child cache set born warm: it shares the parent's
+// immutable memos — the instance statics (inner slices are never mutated
+// once computed; the struct is copied so the validation fields stay
+// private), the mean-rank slice (immutable once stored) and a frozen
+// snapshot of the memoized priority lists — behind copy-on-write semantics.
+// The child takes its own mutex from birth and never locks the parent's
+// again, so forked sessions stay contention-free; new seeds or a re-keyed
+// instance write only to the child's private memos.
 func (c *Caches) Fork() *Caches {
 	if c == nil {
 		return NewCaches()
@@ -181,8 +174,8 @@ func (c *Caches) staticsOf(in *Instance) *instanceStatics {
 }
 
 // warmStatics memoizes in's statics ahead of NewPartialCached with
-// cooperative cancellation, mirroring the dual engine: a nil receiver or
-// nil ctx computes nothing and NewPartialCached derives them inline.
+// cooperative cancellation: a nil receiver or nil ctx computes nothing and
+// NewPartialCached derives them inline.
 func (c *Caches) warmStatics(ctx context.Context, in *Instance) error {
 	if c == nil || ctx == nil {
 		return nil
@@ -207,15 +200,13 @@ func (c *Caches) warmStatics(ctx context.Context, in *Instance) error {
 	return nil
 }
 
-// Validate is Instance.Validate with the successful parts memoized: the
-// graph check runs once per instance, the timing-matrix check once per pool
-// count (an unchanged instance cannot become invalid).
-func (c *Caches) Validate(in *Instance, p Platform) error {
-	if c == nil {
-		return in.Validate(p)
-	}
-	if in == nil || in.G == nil {
-		return in.Validate(p)
+// Validate is Instance.Validate on a platform of nPools pools with the
+// successful parts memoized: the graph check runs once per instance, the
+// timing-matrix check once per pool count (an unchanged instance cannot
+// become invalid).
+func (c *Caches) Validate(in *Instance, nPools int) error {
+	if c == nil || in == nil || in.G == nil {
+		return in.validate(nPools)
 	}
 	c.mu.Lock()
 	c.rekey(in)
@@ -223,7 +214,7 @@ func (c *Caches) Validate(in *Instance, p Platform) error {
 		c.statics = computeStatics(in)
 	}
 	s := c.statics
-	graphDone, matrixDone := s.graphValidated, s.matrixWidth == p.NumPools()
+	graphDone, matrixDone := s.graphValidated, s.matrixWidth == nPools
 	c.mu.Unlock()
 	if graphDone && matrixDone {
 		return nil
@@ -234,13 +225,13 @@ func (c *Caches) Validate(in *Instance, p Platform) error {
 		}
 	}
 	if !matrixDone {
-		if err := in.validateMatrix(p.NumPools()); err != nil {
+		if err := in.validateMatrix(nPools); err != nil {
 			return err
 		}
 	}
 	c.mu.Lock()
 	s.graphValidated = true
-	s.matrixWidth = p.NumPools()
+	s.matrixWidth = nPools
 	c.mu.Unlock()
 	return nil
 }
@@ -320,35 +311,4 @@ func (c *Caches) PriorityList(ctx context.Context, in *Instance, seed int64) ([]
 	}
 	c.mu.Unlock()
 	return list, nil
-}
-
-// getSpare pops the recycled Partial (nil receiver or empty slot allocates
-// fresh). The caller must reset it before use.
-func (c *Caches) getSpare() *Partial {
-	if c == nil {
-		return &Partial{}
-	}
-	c.mu.Lock()
-	st := c.spare
-	c.spare = nil
-	c.mu.Unlock()
-	if st == nil {
-		st = &Partial{}
-	}
-	return st
-}
-
-// Recycle hands a finished Partial's buffers back for the next run. The
-// Partial must not be used by the caller afterwards; the schedule it
-// produced stays valid (reset always allocates a fresh one).
-func (c *Caches) Recycle(st *Partial) {
-	if c == nil || st == nil {
-		return
-	}
-	st.sched = nil // drop the escaped schedule; everything else is reused
-	c.mu.Lock()
-	if c.spare == nil {
-		c.spare = st
-	}
-	c.mu.Unlock()
 }

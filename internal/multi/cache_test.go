@@ -13,19 +13,19 @@ func TestCachesValidateMemoized(t *testing.T) {
 	in := randomInstance(1, 12, 3)
 	p := NewPlatform(Pool{1, 50}, Pool{1, 50}, Pool{1, 50})
 	c := NewCaches()
-	if err := c.Validate(in, p); err != nil {
+	if err := c.Validate(in, p.NumPools()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Validate(in, p); err != nil {
+	if err := c.Validate(in, p.NumPools()); err != nil {
 		t.Fatal(err)
 	}
 	// A platform with the wrong pool count must still be rejected even
 	// though the instance was validated for width 3.
-	if err := c.Validate(in, NewPlatform(Pool{1, 50})); err == nil {
+	if err := c.Validate(in, 1); err == nil {
 		t.Fatal("width mismatch accepted after memoized validation")
 	}
 	// And width 3 must keep validating after the failed width-1 attempt.
-	if err := c.Validate(in, p); err != nil {
+	if err := c.Validate(in, p.NumPools()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,7 +104,7 @@ func TestCachesNilReceiver(t *testing.T) {
 	var c *Caches
 	in := randomInstance(3, 10, 2)
 	p := NewPlatform(Pool{1, 100}, Pool{1, 100})
-	if err := c.Validate(in, p); err != nil {
+	if err := c.Validate(in, p.NumPools()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.MeanRanks(nil, in); err != nil {
@@ -117,11 +117,25 @@ func TestCachesNilReceiver(t *testing.T) {
 	if st == nil || len(st.ReadyTasks()) == 0 {
 		t.Fatal("nil-cache partial unusable")
 	}
-	c.Recycle(st) // must not panic
+	recycle(st) // must not panic
+}
+
+// TestRecycleDropsRunReferences: a recycled Partial sits in a process-wide
+// pool, so it must not keep the finished run's graph, instance, platform or
+// schedule reachable.
+func TestRecycleDropsRunReferences(t *testing.T) {
+	in := randomInstance(5, 10, 2)
+	st := NewPartial(in, NewPlatform(Pool{1, 100}, Pool{1, 100}))
+	st.ins = newInsertionState(2)
+	recycle(st)
+	if st.in != nil || st.g != nil || st.edges != nil || st.p.Pools != nil ||
+		st.sched != nil || st.outFiles != nil || st.ins != nil {
+		t.Fatalf("recycled partial still references its run: %+v", st)
+	}
 }
 
 // TestCachesConcurrentSchedules hammers one cache set from many goroutines
-// (run under -race): the memos and the recycled-partial slot must be safe,
+// (run under -race): the memos and the recycled-partial pool must be safe,
 // and every schedule identical to the reference.
 func TestCachesConcurrentSchedules(t *testing.T) {
 	in := randomInstance(4, 30, 3)

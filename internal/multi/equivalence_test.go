@@ -9,12 +9,11 @@ import (
 	"repro/internal/dag"
 )
 
-// The golden-equivalence suite of the k-pool engine: the incremental
-// schedulers (epoch-memoized candidates per (task, pool), heap selection,
-// batched staircase splices, intrusive ready tracking, session memos) must
-// produce schedules bit-identical to the retained naive reference
-// implementations on every instance, feasible or not — the same proof
-// obligation internal/core discharges for the dual engine.
+// The golden-equivalence suite of the engine: the incremental schedulers
+// (epoch-memoized candidates per (task, pool), heap selection, batched
+// staircase splices, intrusive ready tracking, session memos) must produce
+// schedules bit-identical to the retained naive reference implementations
+// on every instance, feasible or not.
 
 // sameSchedule compares two k-pool schedules field by field with exact
 // float equality.

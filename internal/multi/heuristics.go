@@ -8,15 +8,13 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/trace"
 )
 
 // ErrMemoryBound is returned (wrapped) when a heuristic cannot fit the
-// instance in the pool capacities. It is the same sentinel as the
-// dual-memory engine's, so one errors.Is check covers both engines.
-var ErrMemoryBound = core.ErrMemoryBound
+// instance in the pool capacities.
+var ErrMemoryBound = errors.New("memsched: graph cannot be processed within the memory bounds")
 
 // Options tunes a heuristic run. The zero value is ready to use.
 type Options struct {
@@ -72,7 +70,8 @@ type Func func(ctx context.Context, in *Instance, p Platform, opt Options) (*Sch
 var inf = math.Inf(1)
 
 // cancelStride is how many main-loop iterations pass between cooperative
-// context checks, matching the dual engine's stride.
+// context checks: frequent enough to interrupt sweeps promptly, sparse
+// enough to be invisible in the per-schedule benchmarks.
 const cancelStride = 64
 
 // ctxErr polls ctx every cancelStride-th step (nil ctx never cancels).
@@ -128,19 +127,27 @@ func priorityFromRanks(in *Instance, ranks []float64, seed int64) []dag.TaskID {
 // schedule the first ready task that currently fits, restart from the head
 // after every assignment.
 //
-// The scan is incremental, mirroring the dual engine: ready-ness checks are
-// O(1), Best serves memoized candidates for entries whose pool epochs and
-// parents are unchanged since the last pass, and scheduled tasks are
-// skipped in place and compacted lazily. Commit order — and therefore the
-// schedule — is identical to MemHEFTReference (see naive.go). The context
-// is checked cooperatively; cancellation returns ctx.Err() wrapped.
+// The scan is incremental: ready-ness checks are O(1), Best serves
+// memoized candidates for entries whose pool epochs and parents are
+// unchanged since the last pass, and scheduled tasks are skipped in place
+// and compacted lazily. Commit order — and therefore the schedule — is
+// identical to MemHEFTReference (see naive.go). The context is checked
+// cooperatively; cancellation returns ctx.Err() wrapped.
 func MemHEFT(ctx context.Context, in *Instance, p Platform, opt Options) (*Schedule, error) {
+	return memHEFT(ctx, in, p, opt, false)
+}
+
+// memHEFT is MemHEFT, optionally with the insertion-based processor policy.
+func memHEFT(ctx context.Context, in *Instance, p Platform, opt Options, insertion bool) (*Schedule, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("multi: MemHEFT interrupted: %w", err)
 		}
 	}
-	if err := opt.Caches.Validate(in, p); err != nil {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := opt.Caches.Validate(in, p.NumPools()); err != nil {
 		return nil, err
 	}
 	endRank := trace.Start(ctx, "rank")
@@ -155,8 +162,11 @@ func MemHEFT(ctx context.Context, in *Instance, p Platform, opt Options) (*Sched
 	}
 	st := NewPartialCached(in, p, opt.Caches)
 	endStatics()
-	defer opt.Caches.Recycle(st)
+	defer recycle(st)
 	defer st.reportStats(opt.Stats)
+	if insertion {
+		st.ins = newInsertionState(p.TotalProcs())
+	}
 	rec := opt.Record
 	endReplay := trace.Start(ctx, "replay")
 	replayed, err := st.beginRun(ctx, p, opt)
@@ -236,7 +246,10 @@ func MemMinMin(ctx context.Context, in *Instance, p Platform, opt Options) (*Sch
 			return nil, fmt.Errorf("multi: MemMinMin interrupted: %w", err)
 		}
 	}
-	if err := opt.Caches.Validate(in, p); err != nil {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := opt.Caches.Validate(in, p.NumPools()); err != nil {
 		return nil, err
 	}
 	endStatics := trace.Start(ctx, "statics")
@@ -245,7 +258,7 @@ func MemMinMin(ctx context.Context, in *Instance, p Platform, opt Options) (*Sch
 	}
 	st := NewPartialCached(in, p, opt.Caches)
 	endStatics()
-	defer opt.Caches.Recycle(st)
+	defer recycle(st)
 	defer st.reportStats(opt.Stats)
 	g := in.G
 

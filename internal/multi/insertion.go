@@ -1,20 +1,18 @@
-package core
+package multi
 
 import (
 	"context"
 	"math"
 
 	"repro/internal/dag"
-	"repro/internal/platform"
-	"repro/internal/schedule"
 )
 
 // The paper's MemHEFT keeps one availability time per processor (a task can
 // only be appended after the last task of a processor). Classical HEFT
-// instead uses *insertion-based* policy: a task may fill an idle gap between
-// two already-scheduled tasks. This file adds that policy as an option so
-// its effect can be measured (see BenchmarkAblationInsertion); the paper's
-// algorithms default to the append policy.
+// instead uses an *insertion-based* policy: a task may fill an idle gap
+// between two already-scheduled tasks. This file adds that policy as an
+// ablation so its effect can be measured; the paper's algorithms default to
+// the append policy.
 
 // busyInterval is one committed occupation of a processor.
 type busyInterval struct {
@@ -36,7 +34,7 @@ func newInsertionState(procs int) *insertionState {
 func (is *insertionState) earliestFitOn(proc int, lb, w float64) float64 {
 	cur := lb
 	for _, iv := range is.busy[proc] {
-		if cur+w <= iv.start+schedule.Eps {
+		if cur+w <= iv.start+Eps {
 			return cur
 		}
 		if iv.end > cur {
@@ -64,23 +62,34 @@ func (is *insertionState) insert(proc int, start, w float64) {
 	is.busy[proc] = list
 }
 
-// evaluateInsertion is Evaluate with gap-filling resource selection. It
-// shares the precedence and memory components with Evaluate and differs
+// cloneInto deep-copies is into dst (nil allocates) and returns dst.
+func (is *insertionState) cloneInto(dst *insertionState) *insertionState {
+	if dst == nil || len(dst.busy) != len(is.busy) {
+		dst = newInsertionState(len(is.busy))
+	}
+	for i, list := range is.busy {
+		dst.busy[i] = append(dst.busy[i][:0], list...)
+	}
+	return dst
+}
+
+// evaluateInsertion is evaluate with gap-filling resource selection. It
+// shares the precedence and memory components with evaluate and differs
 // only in how processor availability constrains the start time.
-func (st *Partial) evaluateInsertion(id dag.TaskID, mu platform.Memory) Candidate {
-	c := Candidate{Task: id, Mem: mu, EST: inf, EFT: inf}
-	lo, hi := st.p.ProcRange(mu)
-	if lo == hi || st.ins == nil {
+func (st *Partial) evaluateInsertion(id dag.TaskID, k int) Candidate {
+	c := Candidate{Task: id, Pool: k, EST: inf, EFT: inf}
+	lo, hi := st.procLo[k], st.procHi[k]
+	if lo == hi {
 		return c
 	}
-	precedenceEST, crossFiles, cmu := st.staticFor(id, mu)
+	precedenceEST, crossFiles, cmu := st.staticFor(id, k)
 	var taskMemEST, commMemEST float64
-	if !st.unbounded[mu] {
+	if !st.unbounded[k] {
 		if need := crossFiles + st.outFiles[id]; need != 0 {
-			taskMemEST = st.free[mu].EarliestFit(0, need)
+			taskMemEST = st.free[k].EarliestFit(0, need)
 		}
 		if crossFiles != 0 {
-			commMemEST = st.free[mu].EarliestFit(0, crossFiles)
+			commMemEST = st.free[k].EarliestFit(0, crossFiles)
 		}
 	}
 	lower := math.Max(precedenceEST, taskMemEST)
@@ -88,7 +97,7 @@ func (st *Partial) evaluateInsertion(id dag.TaskID, mu platform.Memory) Candidat
 	if math.IsInf(lower, 1) {
 		return c
 	}
-	w := st.duration(id, mu)
+	w := st.in.Times[id][k]
 	est := inf
 	for proc := lo; proc < hi; proc++ {
 		if t := st.ins.earliestFitOn(proc, lower, w); t < est {
@@ -101,34 +110,39 @@ func (st *Partial) evaluateInsertion(id dag.TaskID, mu platform.Memory) Candidat
 	return c
 }
 
-// commitInsertion commits a candidate computed by evaluateInsertion.
+// commitInsertion commits a candidate computed by evaluateInsertion on the
+// first processor of its pool with a gap at the candidate's start.
 func (st *Partial) commitInsertion(c Candidate) {
-	id, mu := c.Task, c.Mem
-	w := st.duration(id, mu)
+	id, k := c.Task, c.Pool
+	w := st.in.Times[id][k]
 	start, fin := c.EST, c.EST+w
-	lo, hi := st.p.ProcRange(mu)
 	bestProc := -1
-	for proc := lo; proc < hi; proc++ {
-		if st.ins.earliestFitOn(proc, c.EST, w) <= start+schedule.Eps {
+	for proc := st.procLo[k]; proc < st.procHi[k]; proc++ {
+		if st.ins.earliestFitOn(proc, c.EST, w) <= start+Eps {
 			bestProc = proc
 			break
 		}
 	}
 	if bestProc < 0 {
-		panic("core: no gap at committed start time")
+		panic("multi: no gap at committed start time")
 	}
 	st.ins.insert(bestProc, start, w)
-	st.sched.Tasks[id] = schedule.TaskPlacement{Start: start, Proc: bestProc}
+	st.sched.Tasks[id] = Placement{Start: start, Proc: bestProc}
 	if fin > st.availProc[bestProc] {
 		st.availProc[bestProc] = fin
 	}
+	st.taskPool[id] = int32(k)
+	st.poolTasks[k]++
 	st.finishTask(id, fin)
-	st.commitFiles(id, mu, start, fin, c.CMu)
+	st.commitFiles(id, k, start, fin, c.CMu)
 }
 
-// MemHEFTInsertion runs Algorithm 1 with classical HEFT's insertion-based
+// MemHEFTInsertion runs MemHEFT with classical HEFT's insertion-based
 // processor selection instead of the paper's append policy. Everything else
-// (priority list, memory accounting, ALAP communications) is identical.
-func MemHEFTInsertion(ctx context.Context, g *dag.Graph, p platform.Platform, opt Options) (*schedule.Schedule, error) {
-	return memHEFTWith(ctx, g, p, opt, true)
+// (priority list, memory accounting, ALAP communications) is identical. Its
+// commits depend on idle-gap state a trace does not capture, so it neither
+// records nor replays (Options.Record and Options.Replay are ignored).
+func MemHEFTInsertion(ctx context.Context, in *Instance, p Platform, opt Options) (*Schedule, error) {
+	opt.Record, opt.Replay = nil, nil
+	return memHEFT(ctx, in, p, opt, true)
 }

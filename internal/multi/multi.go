@@ -1,27 +1,49 @@
-// Package multi generalises the paper's dual-memory model and heuristics to
-// platforms with an arbitrary number of memory pools — the extension the
-// paper's conclusion (§7) proposes: "hybrid platforms with several types of
-// accelerators, and/or including more than two memories".
+// Package multi implements the paper's primary contribution — the
+// memory-aware list-scheduling heuristics MemHEFT (Algorithm 1) and
+// MemMinMin (Algorithm 2) — on platforms with any number of memory pools.
+// The paper's dual-memory machine is the 2-pool case (pool 0 blue, pool 1
+// red); the k-pool generalisation is the extension its conclusion (§7)
+// proposes: "hybrid platforms with several types of accelerators, and/or
+// including more than two memories".
 //
 // A platform is a list of pools, each with its own processor count and
 // memory capacity. A task has one processing time per pool; the DAG
-// structure, file sizes and communication delays are shared with the
-// dual-memory model (communications between any two distinct pools cost the
-// edge's Comm time, during which the file resides in both pools).
+// structure, file sizes and communication delays come from the graph
+// (communications between any two distinct pools cost the edge's Comm
+// time, during which the file resides in both pools).
 //
-// MemHEFT and MemMinMin carry over unchanged conceptually: the upward rank
-// averages processing times over all pools, and the earliest-start-time
-// computation evaluates every pool with the same four components
-// (resource, precedence, task memory, communication memory). With exactly
-// two pools the algorithms reproduce the decisions of internal/core
-// bit-for-bit, which the tests verify.
+// Both heuristics share the same earliest-start-time machinery (§5.1): for
+// a task i and a pool mu, EST(mu, i) is the max of
 //
-// The engine is incremental, running the same architecture as the dual
-// fast path: an epoch-memoized Partial (see partial.go), session-owned
-// memos in Caches (mean ranks, priority lists, statics, validation,
-// recycled buffers), and batched staircase splices. The pre-incremental
-// eager code is retained in naive.go as MemHEFTReference / MemMinMinReference,
-// the oracles the golden-equivalence tests compare against.
+//   - resource_EST:    a processor of mu is free;
+//   - precedence_EST:  parents finished, plus the communication delay for
+//     parents living on another pool;
+//   - task_mem_EST:    from the start of i onward the pool holds the
+//     not-yet-present input files plus all output files;
+//   - comm_mem_EST+C:  from the start of the incoming communications onward
+//     the pool holds the in-flight input files; all cross
+//     communications are scheduled as late as possible with
+//     the uniform conservative duration
+//     C(mu,i) = max cross-parent C(j,i).
+//
+// EFT(mu,i) = EST(mu,i) + W(mu,i); the task goes to the pool minimising EFT
+// (lowest pool index on ties) and, inside it, to the processor minimising
+// idle time. The upward rank of MemHEFT's priority list averages the
+// processing times over all pools.
+//
+// Note on the paper's notation: §5.1 writes delta(mu,j) = 0 when j runs on
+// memory mu, but then uses (1-delta) to select the *cross* input files in
+// task_mem_EST/comm_mem_EST. The prose ("input files of task i that were not
+// stored on memory mu yet") makes the intent unambiguous, so this package
+// follows the prose: cross parents contribute both the communication delay
+// in precedence_EST and the file sizes in the two memory ESTs.
+//
+// The engine is incremental: an epoch-memoized Partial (see partial.go),
+// session-owned memos in Caches (mean ranks, priority lists, statics,
+// validation), Partial buffers recycled process-wide, and batched staircase
+// splices. The pre-incremental eager code is retained in naive.go as
+// MemHEFTReference / MemMinMinReference, the oracles the golden-equivalence
+// tests compare against.
 package multi
 
 import (
@@ -35,7 +57,7 @@ import (
 )
 
 // rankStride is how many tasks the ranking/statics loops process between
-// cooperative context polls, matching the dual engine's stride.
+// cooperative context polls.
 const rankStride = 1024
 
 // Pool is one memory with its attached identical processors.
@@ -60,17 +82,6 @@ func FromDualPlatform(p platform.Platform) Platform {
 		Pool{Procs: p.PBlue, Capacity: p.MBlue},
 		Pool{Procs: p.PRed, Capacity: p.MRed},
 	)
-}
-
-// Dual projects a 2-pool platform back onto the dual-memory model (pool 0
-// blue, pool 1 red); ok is false for any other pool count. This is the
-// bridge the session layer uses to route 2-pool requests onto the
-// incremental dual-memory engine.
-func (p Platform) Dual() (dp platform.Platform, ok bool) {
-	if len(p.Pools) != 2 {
-		return platform.Platform{}, false
-	}
-	return platform.New(p.Pools[0].Procs, p.Pools[1].Procs, p.Pools[0].Capacity, p.Pools[1].Capacity), true
 }
 
 // Unbounded returns the same platform with every pool's capacity unlimited.
@@ -178,10 +189,14 @@ func NewInstance(g *dag.Graph, times [][]float64) *Instance {
 // FromDual converts a dual-memory graph into a 2-pool instance whose pool 0
 // carries the blue times and pool 1 the red times.
 func FromDual(g *dag.Graph) *Instance {
-	times := make([][]float64, g.NumTasks())
-	for i := 0; i < g.NumTasks(); i++ {
+	n := g.NumTasks()
+	times := make([][]float64, n)
+	flat := make([]float64, 2*n)
+	for i := range times {
 		t := g.Task(dag.TaskID(i))
-		times[i] = []float64{t.WBlue, t.WRed}
+		row := flat[2*i : 2*i+2 : 2*i+2]
+		row[0], row[1] = t.WBlue, t.WRed
+		times[i] = row
 	}
 	return &Instance{G: g, Times: times}
 }
@@ -189,28 +204,34 @@ func FromDual(g *dag.Graph) *Instance {
 // Time returns the processing time of task id on pool k.
 func (in *Instance) Time(id dag.TaskID, k int) float64 { return in.Times[id][k] }
 
-// Validate checks the matrix shape against the graph and platform.
-func (in *Instance) Validate(p Platform) error {
+// Validate checks the graph, and the matrix shape against the graph and
+// platform.
+func (in *Instance) Validate(p Platform) error { return in.validate(p.NumPools()) }
+
+func (in *Instance) validate(nPools int) error {
 	if in == nil || in.G == nil {
 		return fmt.Errorf("multi: nil graph")
 	}
 	if err := in.G.Validate(); err != nil {
 		return err
 	}
-	return in.validateMatrix(p.NumPools())
+	return in.validateMatrix(nPools)
 }
 
-// ValidateMatrix checks the timing matrix on its own, at the width of its
-// first row: one row per task, every row that wide, no negative time. A
-// matrix that passes schedules on every platform with that many pools;
-// one that fails schedules on none.
-func (in *Instance) ValidateMatrix() error {
-	width := 0
-	if len(in.Times) > 0 {
-		width = len(in.Times[0])
+// Width returns the number of pool columns of the timing matrix: the width
+// of its first row, 0 for an instance without tasks.
+func (in *Instance) Width() int {
+	if len(in.Times) == 0 {
+		return 0
 	}
-	return in.validateMatrix(width)
+	return len(in.Times[0])
 }
+
+// ValidateMatrix checks the timing matrix on its own, at its Width: one row
+// per task, every row that wide, no negative time. A matrix that passes
+// schedules on every platform with that many pools; one that fails
+// schedules on none.
+func (in *Instance) ValidateMatrix() error { return in.validateMatrix(in.Width()) }
 
 // validateMatrix is the timing-matrix half of Validate, split out so the
 // session cache layer can memoize it per pool count.

@@ -8,9 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/platform"
 )
 
 func dualPlatform(pBlue, pRed int, mBlue, mRed int64) Platform {
@@ -134,87 +132,6 @@ func TestMeanRanksMatchDualRanks(t *testing.T) {
 	for i := range mr {
 		if mr[i] != ur[i] {
 			t.Fatalf("rank[%d]: %g vs %g", i, mr[i], ur[i])
-		}
-	}
-}
-
-// TestTwoPoolMatchesCore is the key differential test: with two pools the
-// generalised heuristics must reproduce the dual-memory implementation's
-// placements exactly.
-func TestTwoPoolMatchesCore(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomDAG(seed, 18)
-		in := FromDual(g)
-		for _, bound := range []int64{30, 60, 1 << 40} {
-			dp := platform.New(2, 2, bound, bound)
-			mp := dualPlatform(2, 2, bound, bound)
-			pairs := []struct {
-				dual  core.Func
-				multi Func
-			}{
-				{core.MemHEFT, MemHEFT},
-				{core.MemMinMin, MemMinMin},
-			}
-			for _, pair := range pairs {
-				ds, derr := pair.dual(tctx, g, dp, core.Options{Seed: seed})
-				ms, merr := pair.multi(tctx, in, mp, Options{Seed: seed})
-				if (derr == nil) != (merr == nil) {
-					return false
-				}
-				if derr != nil {
-					continue
-				}
-				for i := 0; i < g.NumTasks(); i++ {
-					if ds.Tasks[i].Start != ms.Tasks[i].Start || ds.Tasks[i].Proc != ms.Tasks[i].Proc {
-						return false
-					}
-				}
-				// The communication schedules must collapse too:
-				// same ALAP starts on cross edges, same NaN
-				// markers on intra-pool edges.
-				for e := 0; e < g.NumEdges(); e++ {
-					dc, mc := ds.CommStart[e], ms.CommStart[e]
-					if dc != mc && !(math.IsNaN(dc) && math.IsNaN(mc)) {
-						return false
-					}
-				}
-				if ms.Validate() != nil {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTwoPoolMatchesCoreViaDualBridge checks the platform bridge both
-// directions: FromDualPlatform followed by Dual round-trips, and the
-// generalised engine on the lifted platform reproduces the dual engine.
-func TestTwoPoolMatchesCoreViaDualBridge(t *testing.T) {
-	g := dag.PaperExample()
-	dp := platform.New(1, 1, 4, 4)
-	mp := FromDualPlatform(dp)
-	back, ok := mp.Dual()
-	if !ok || back != dp {
-		t.Fatalf("round trip lost the platform: %v -> %v (ok=%v)", dp, back, ok)
-	}
-	if _, ok := NewPlatform(Pool{1, 4}).Dual(); ok {
-		t.Fatal("1-pool platform claimed to be dual")
-	}
-	ds, err := core.MemHEFT(tctx, g, dp, core.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := MemHEFT(tctx, FromDual(g), mp, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ds.Tasks {
-		if ds.Tasks[i].Start != ms.Tasks[i].Start || ds.Tasks[i].Proc != ms.Tasks[i].Proc {
-			t.Fatalf("task %d: dual %+v vs lifted %+v", i, ds.Tasks[i], ms.Tasks[i])
 		}
 	}
 }

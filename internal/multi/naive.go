@@ -9,9 +9,8 @@ import (
 	"repro/internal/memfn"
 )
 
-// This file retains the pre-incremental k-pool implementations as
-// executable reference oracles, exactly as naive.go in internal/core does
-// for the dual engine. They bypass every layer of the incremental engine
+// This file retains the pre-incremental implementations as executable
+// reference oracles. They bypass every layer of the incremental engine
 // that could conceivably change behaviour — no candidate memoization, no
 // static-part caching, no session memos, ready-ness by scanning parents,
 // per-edge staircase Reserve calls instead of batched splices, mid-slice

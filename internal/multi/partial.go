@@ -2,15 +2,20 @@ package multi
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/memfn"
 	"repro/internal/platform"
 )
 
-// Partial is the k-pool partial schedule under construction — the direct
-// generalisation of core.Partial, carrying the same incremental engine the
-// dual-memory scheduler grew in PR 1:
+// Partial is the k-pool partial schedule under construction: the
+// placements committed so far, the per-processor availability times and one
+// free-memory staircase per pool. MemHEFT and MemMinMin drive it
+// internally; it is exported so that the branch-and-bound search of
+// internal/exact can explore the same decision space with identical
+// semantics. A Commit perturbs very little of the state, so Partial keeps
+// just enough bookkeeping to re-derive only what changed:
 //
 //   - ready-ness is tracked intrusively with per-task uncommitted-parent
 //     counters and an ID-sorted ready list (Ready is O(1));
@@ -71,6 +76,11 @@ type Partial struct {
 	// hits and misses count memoized candidate lookups served fresh vs
 	// recomputed; sessions surface the ratio in their result stats.
 	hits, misses uint64
+
+	// ins, when non-nil, switches processor selection to classical HEFT's
+	// insertion-based policy (see insertion.go). The paper's algorithms
+	// leave it nil (append policy).
+	ins *insertionState
 }
 
 // evalSlot is the memoized evaluation state of one (task, pool) pair. The
@@ -110,11 +120,33 @@ func NewPartial(in *Instance, p Platform) *Partial {
 }
 
 // NewPartialCached is NewPartial serving the per-instance statics from c (a
-// nil c computes them fresh).
+// nil c computes them fresh). Its buffers come from the process-wide pool
+// that the heuristics refill when a run ends.
 func NewPartialCached(in *Instance, p Platform, c *Caches) *Partial {
-	st := c.getSpare()
+	st := partials.Get().(*Partial)
 	st.reset(in, p, c.staticsOf(in))
 	return st
+}
+
+// partials recycles the buffers of finished Partials (candidate slots,
+// counters, staircases) across runs and sessions: the memory-sweep and
+// service patterns schedule graphs of similar sizes over and over. One
+// process-wide pool, rather than a slot per session, keeps the recycled
+// memory proportional to the runs in flight instead of the sessions cached.
+var partials = sync.Pool{New: func() any { return new(Partial) }}
+
+// recycle hands a finished Partial's buffers back for a later run. It drops
+// every reference to the run's graph, instance and schedule, so a pooled
+// Partial never keeps an evicted session's graph alive. The Partial must
+// not be used by the caller afterwards; the schedule it produced stays
+// valid (reset always allocates a fresh one).
+func recycle(st *Partial) {
+	if st == nil {
+		return
+	}
+	st.in, st.g, st.edges, st.p = nil, nil, nil, Platform{}
+	st.sched, st.outFiles, st.ins = nil, nil, nil
+	partials.Put(st)
 }
 
 // reset (re)initialises st for a fresh run of in on p, reusing every buffer
@@ -174,6 +206,7 @@ func (st *Partial) reset(in *Instance, p Platform, gs *instanceStatics) {
 	st.crossAmt = resize(st.crossAmt, k)
 	st.poolTasks = resize(st.poolTasks, k)
 	st.hits, st.misses = 0, 0
+	st.ins = nil
 }
 
 // resize returns s with length n and every element zeroed, reusing the
@@ -185,6 +218,58 @@ func resize[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// Clone returns an independent deep copy, for tree search.
+func (st *Partial) Clone() *Partial { return st.CloneInto(nil) }
+
+// CloneInto deep-copies st into dst, reusing dst's storage when possible,
+// and returns dst. A nil dst allocates a fresh Partial; internal/exact keeps
+// a free list of exhausted nodes and clones into them to avoid churning the
+// allocator at every search node.
+func (st *Partial) CloneInto(dst *Partial) *Partial {
+	if dst == nil {
+		dst = &Partial{}
+	}
+	dst.in, dst.g, dst.edges, dst.p, dst.k = st.in, st.g, st.edges, st.p, st.k
+	dst.procLo = append(dst.procLo[:0], st.procLo...)
+	dst.procHi = append(dst.procHi[:0], st.procHi...)
+	if dst.sched == nil {
+		dst.sched = &Schedule{}
+	}
+	dst.sched.Inst, dst.sched.Platform = st.sched.Inst, st.sched.Platform
+	dst.sched.Tasks = append(dst.sched.Tasks[:0], st.sched.Tasks...)
+	dst.sched.CommStart = append(dst.sched.CommStart[:0], st.sched.CommStart...)
+	if len(dst.free) != len(st.free) {
+		dst.free = make([]*memfn.Staircase, len(st.free))
+	}
+	for j, f := range st.free {
+		dst.free[j] = f.CloneInto(dst.free[j])
+	}
+	dst.availProc = append(dst.availProc[:0], st.availProc...)
+	dst.assigned = append(dst.assigned[:0], st.assigned...)
+	dst.finish = append(dst.finish[:0], st.finish...)
+	dst.taskPool = append(dst.taskPool[:0], st.taskPool...)
+	dst.nDone = st.nDone
+	dst.pending = append(dst.pending[:0], st.pending...)
+	dst.ready = append(dst.ready[:0], st.ready...)
+	dst.newlyReady = dst.newlyReady[:0]
+	dst.makespan = st.makespan
+	dst.commitSeq = st.commitSeq
+	dst.epoch = append(dst.epoch[:0], st.epoch...)
+	dst.parentStamp = append(dst.parentStamp[:0], st.parentStamp...)
+	dst.slots = append(dst.slots[:0], st.slots...)
+	dst.outFiles = st.outFiles // immutable, shared
+	dst.unbounded = append(dst.unbounded[:0], st.unbounded...)
+	dst.crossAmt = resize(dst.crossAmt, st.k)
+	dst.poolTasks = append(dst.poolTasks[:0], st.poolTasks...)
+	dst.hits, dst.misses = st.hits, st.misses
+	if st.ins == nil {
+		dst.ins = nil
+	} else {
+		dst.ins = st.ins.cloneInto(dst.ins)
+	}
+	return dst
 }
 
 // Schedule returns the underlying schedule (complete only when Done).
@@ -327,6 +412,9 @@ func (st *Partial) Evaluate(id dag.TaskID, k int) Candidate {
 
 // evaluate is the uncached candidate computation.
 func (st *Partial) evaluate(id dag.TaskID, k int) Candidate {
+	if st.ins != nil {
+		return st.evaluateInsertion(id, k)
+	}
 	c := Candidate{Task: id, Pool: k, EST: inf, EFT: inf}
 
 	// resource_EST: earliest availability among the pool's processors.
@@ -380,8 +468,8 @@ func (st *Partial) evaluate(id dag.TaskID, k int) Candidate {
 }
 
 // Best returns the minimum-EFT candidate of a ready task over all pools
-// (lowest pool index wins ties, matching core's blue preference in the
-// 2-pool case). The returned candidate may be infeasible on every pool
+// (lowest pool index wins ties, so the paper's blue memory, pool 0, wins in
+// the 2-pool case). The returned candidate may be infeasible on every pool
 // (EFT = +inf).
 func (st *Partial) Best(id dag.TaskID) Candidate {
 	b := Candidate{Task: id, Pool: -1, EST: inf, EFT: inf}
@@ -516,6 +604,10 @@ func (st *Partial) commitFiles(id dag.TaskID, k int, start, fin, cmu float64) {
 // task_mem_EST and comm_mem_EST, so Commit never drives a staircase
 // negative.
 func (st *Partial) Commit(c Candidate) {
+	if st.ins != nil {
+		st.commitInsertion(c)
+		return
+	}
 	id, k := c.Task, c.Pool
 	w := st.in.Times[id][k]
 	start, fin := c.EST, c.EST+w

@@ -7,13 +7,24 @@ import (
 	"repro/internal/platform"
 )
 
-// Trace records the committed placement sequence of one k-pool heuristic
-// run so a later run on a platform with equal pool shapes and no larger
-// capacities can replay the prefix instead of re-deriving it (the dual
-// engine's core.Trace, generalised). A stored trace must never be mutated
-// afterwards: replay reads it concurrently from forked sessions.
+// Trace records the committed placement sequence of one heuristic run so a
+// later run on a platform with equal pool shapes and no larger capacities
+// can replay the prefix instead of re-deriving it. Traces are recorded
+// through Options.Record and consumed through Options.Replay; a stored trace
+// must never be mutated afterwards (replay reads it concurrently from
+// forked sessions).
+//
+// Replay is sound only downward in capacity: with an identical committed
+// prefix, every staircase holds less free memory under a smaller capacity,
+// so earliest-fit times — and hence every candidate's EST/EFT — are
+// monotone non-decreasing, and a task that was infeasible stays infeasible.
+// Each replayed step is verified against the live state (replayVerify); the
+// first step that fails truncates the replay and the normal scheduling loop
+// resumes from the verified prefix, which keeps the result bit-identical to
+// a from-scratch run.
 type Trace struct {
-	// Platform is the platform the trace was recorded on.
+	// Platform is the platform the trace was recorded on — for HEFT and
+	// MinMin the engine-effective unbounded platform, not the nominal one.
 	Platform Platform
 	// Cands is the commit sequence: one fully resolved candidate per task
 	// in commit order.
@@ -24,7 +35,7 @@ type Trace struct {
 	// k, of the slack each step's memory fits had when committed
 	// (math.MaxInt64 when no bounded fit was recorded on k, -1 when the
 	// margins of a mirrored prefix could not be derived). It powers the
-	// FullReplayOn shortcut; see core.Trace.MinMargin for the argument.
+	// FullReplayOn shortcut.
 	MinMargin []int64
 }
 
@@ -126,15 +137,26 @@ func (st *Partial) replayPrefix(ctx context.Context, tr *Trace) (int, error) {
 
 // replayVerify decides, without re-evaluating any candidate, whether the
 // recorded candidate rc is still bit-exactly what the engine would compute
-// and commit at this position (core.Partial's replayVerify, generalised to
-// k pools — see there for the full argument). With an identical verified
-// prefix every non-staircase EST component matches the recording run bit
-// for bit, and every staircase holds the same reservations over a capacity
-// that did not grow, so fit times are monotone non-decreasing: the recorded
-// EST remains exact iff both fits of rc's pool still hold at their recorded
-// positions. No other pool needs evaluation — each one's EFT was no better
-// than rc's when recorded (strictly worse for lower pool indices, by the
-// lowest-pool tie-break) and can only have grown since.
+// and commit at this position. It rests on two invariants of an eligible
+// replay (same pool shapes, capacities not grown, identical verified prefix
+// — the session guarantees the trace comes from the same instance,
+// scheduler and seed):
+//
+//   - every non-staircase EST component (processor availability,
+//     precedence_EST, C(mu,i)) is a pure function of the committed prefix,
+//     so it matches the recording run bit for bit;
+//   - the staircases carry the recording run's exact reservations over a
+//     capacity that did not grow, so free(t) only shrank: every
+//     earliest-fit time is monotone non-decreasing and an infeasible
+//     candidate stays infeasible.
+//
+// The recorded EST therefore remains exact iff both fits of rc's pool still
+// hold at their recorded positions, and no other pool needs evaluation:
+// each one's EFT was no better than rc's when recorded (strictly worse for
+// lower pool indices, by the lowest-pool tie-break) and can only have grown
+// since. The same monotonicity keeps every higher-priority task MemHEFT
+// skipped skipped, and every ready pair MemMinMin rejected rejected, so the
+// engines' selection order is preserved too.
 func (st *Partial) replayVerify(rc Candidate) bool {
 	k := rc.Pool
 	_, cross, cmu := st.staticFor(rc.Task, k)
@@ -174,7 +196,14 @@ func (st *Partial) recordStep(rec *Trace, c Candidate) {
 }
 
 // prefixMargin translates a recorded margin to the capacity a prefix of the
-// trace was just replayed on — see core.prefixMargin for the argument.
+// trace was just replayed on: the replay committed the recorded reservations
+// bit for bit, so its staircase equals the recording run's shifted down by
+// delta = prevCap - nextCap, and every recorded slack shrank by exactly
+// delta. Using the whole-trace minimum for a (possibly shorter) prefix is
+// conservative — the prefix's true margin can only be larger. A bounded
+// replay of an unbounded recording verified against staircases whose slacks
+// were never captured, so it degrades to -1 (blocks FullReplayOn forever,
+// which is safe: margins are never negative when known).
 func prefixMargin(prevCap, nextCap, margin int64) int64 {
 	if nextCap >= platform.Unlimited {
 		return margin // nothing shrank (eligibility: prevCap is unlimited too)
@@ -188,8 +217,14 @@ func prefixMargin(prevCap, nextCap, margin int64) int64 {
 // FullReplayOn reports whether replaying the complete trace on next is
 // guaranteed to verify every step, making the run's schedule bit-identical
 // to the recorded one — so a caller holding that schedule can reuse it
-// without running the engine at all. See core.Trace.FullReplayOn for the
-// soundness argument; the per-memory margin check is applied per pool here.
+// without running the engine at all. Soundness: under an eligible shrink the
+// replaying run's staircases hold the recorded reservations over a capacity
+// smaller by delta(k) = recorded cap - next cap, so every suffix minimum —
+// and with it every recorded fit slack — drops by exactly delta(k); the
+// per-step FitsFrom checks of replayVerify therefore all still pass iff
+// delta(k) <= MinMargin[k] for every pool. The remaining per-step checks
+// (feasibility, readiness, C(mu,i)) are pure functions of the shared graph
+// and the identical committed prefix and hold by induction.
 func (tr *Trace) FullReplayOn(next Platform) bool {
 	if tr == nil || !tr.Complete || !ReplayEligible(tr.Platform, next) {
 		return false

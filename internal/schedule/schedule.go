@@ -1,9 +1,11 @@
-// Package schedule defines the schedule object s = (sigma, tau, proc) of the
-// paper and a validator that checks the three families of constraints of §3
-// (flow dependencies, resource exclusivity, memory capacity) exactly as the
-// model defines them. Every scheduling algorithm in this repository returns a
-// *Schedule, and every test funnels results through Validate, so the model
-// semantics live in exactly one place.
+// Package schedule defines the dual-memory schedule object s = (sigma, tau,
+// proc) of the paper and a validator that checks the three families of
+// constraints of §3 (flow dependencies, resource exclusivity, memory
+// capacity) exactly as the model defines them. The engines produce
+// multi.Schedule; this type remains the view of the ILP oracle and of
+// cmd/memsched's timeline, SVG and JSON output. Peaks and Live, the event
+// sweep and tie rule of every memory check, are shared by both schedule
+// types.
 package schedule
 
 import (
@@ -54,18 +56,6 @@ func New(g *dag.Graph, p platform.Platform) *Schedule {
 		s.CommStart[i] = math.NaN()
 	}
 	return s
-}
-
-// Clone returns an independent copy of the schedule sharing the immutable
-// graph. The warm-start margin shortcut hands clones of a recorded schedule
-// to callers so the stored original can never be mutated through a Result.
-func (s *Schedule) Clone() *Schedule {
-	return &Schedule{
-		Graph:     s.Graph,
-		Platform:  s.Platform,
-		Tasks:     append([]TaskPlacement(nil), s.Tasks...),
-		CommStart: append([]float64(nil), s.CommStart...),
-	}
 }
 
 // MemoryOf returns the memory on which task id executes.

@@ -1,7 +1,7 @@
-// Package sim provides a discrete-event runtime simulator for dual-memory
+// Package sim provides a discrete-event runtime simulator for multi-pool
 // platforms, in the spirit of the StarPU runtime the paper's conclusion
 // proposes as an integration target. Unlike the static heuristics of
-// internal/core — which precompute a full schedule with as-late-as-possible
+// internal/multi — which precompute a full schedule with as-late-as-possible
 // communications — the simulator drives an *online* dispatcher: scheduling
 // decisions happen at runtime events (a processor going idle, a transfer
 // completing), transfers start eagerly at dispatch time, and memory is
@@ -21,8 +21,7 @@ import (
 	"math"
 
 	"repro/internal/dag"
-	"repro/internal/platform"
-	"repro/internal/schedule"
+	"repro/internal/multi"
 )
 
 // ErrStuck is returned (wrapped) when the online run deadlocks: nothing is
@@ -53,11 +52,15 @@ func (p Policy) String() string {
 type Options struct {
 	Policy Policy
 	Seed   int64 // reserved for tie-break randomisation; dispatch is currently deterministic
+	// Caches, when non-nil, serves the validation and the mean upward
+	// ranks of RankPolicy from the caller's memos — typically a
+	// memsched.Session's.
+	Caches *multi.Caches
 }
 
 // Result couples the emitted schedule with runtime statistics.
 type Result struct {
-	Schedule *schedule.Schedule
+	Schedule *multi.Schedule
 	Events   int // dispatcher invocations
 }
 
@@ -82,15 +85,16 @@ func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q
 
 // runtime is the mutable simulation state.
 type runtime struct {
+	in  *multi.Instance
 	g   *dag.Graph
-	p   platform.Platform
-	out *schedule.Schedule
+	p   multi.Platform
+	out *multi.Schedule
 
 	clock      float64
 	queue      eventQueue
 	seq        int
 	procFree   []float64 // per processor: time it becomes idle
-	used       [2]int64  // current memory usage
+	used       []int64   // per pool: current memory usage
 	pendingIn  []int     // per task: parents not yet completed
 	completed  []bool
 	running    int
@@ -98,27 +102,29 @@ type runtime struct {
 	dispatched []bool
 }
 
-// Run simulates the online execution of g on p and returns the emitted
+// Run simulates the online execution of in on p and returns the emitted
 // schedule (already validated) and statistics. The context cancels the
 // event loop cooperatively; cancellation returns ctx.Err() wrapped.
-func Run(ctx context.Context, g *dag.Graph, p platform.Platform, opt Options) (*Result, error) {
+func Run(ctx context.Context, in *multi.Instance, p multi.Platform, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := g.Validate(); err != nil {
+	if err := opt.Caches.Validate(in, p.NumPools()); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	ranks, err := g.UpwardRanks(ctx)
+	ranks, err := opt.Caches.MeanRanks(ctx, in)
 	if err != nil {
 		return nil, err
 	}
+	g := in.G
 	rt := &runtime{
-		g: g, p: p,
-		out:        schedule.New(g, p),
+		in: in, g: g, p: p,
+		out:        multi.NewSchedule(in, p),
 		procFree:   make([]float64, p.TotalProcs()),
+		used:       make([]int64, p.NumPools()),
 		pendingIn:  make([]int, g.NumTasks()),
 		completed:  make([]bool, g.NumTasks()),
 		dispatched: make([]bool, g.NumTasks()),
@@ -187,25 +193,24 @@ func (rt *runtime) collect() {
 		if rt.completed[i] || !rt.dispatched[i] {
 			continue
 		}
-		if rt.out.Finish(id) > rt.clock+schedule.Eps {
+		if rt.out.Finish(id) > rt.clock+multi.Eps {
 			continue
 		}
 		rt.completed[i] = true
 		rt.running--
-		mem := rt.out.MemoryOf(id)
-		// Input files are discarded at completion (intra-memory ones
-		// were still resident; cross ones were released from the
-		// source at transfer end, handled at dispatch below).
+		pool := rt.out.PoolOf(id)
+		// Input files are discarded at completion (intra-pool ones were
+		// still resident; cross ones were released from the source at
+		// transfer end, handled at dispatch below).
 		for _, e := range g.In(id) {
 			edge := g.Edge(e)
-			rt.used[mem] -= edge.File
-			if rt.out.IsCross(e) {
+			rt.used[pool] -= edge.File
+			if src := rt.out.PoolOf(edge.From); src != pool {
 				// The source-side copy left at transfer end;
 				// account it now if the transfer end has
 				// passed (it has: transfers end before the
 				// task starts).
-				srcMem := mem.Other()
-				rt.used[srcMem] -= edge.File
+				rt.used[src] -= edge.File
 			}
 		}
 		for _, e := range g.Out(id) {
@@ -214,21 +219,21 @@ func (rt *runtime) collect() {
 	}
 }
 
-// admissible reports whether task id fits on memory mu right now, and the
+// admissible reports whether task id fits on pool k right now, and the
 // incremental memory it would pin there.
-func (rt *runtime) admissible(id dag.TaskID, mu platform.Memory) (int64, bool) {
+func (rt *runtime) admissible(id dag.TaskID, k int) (int64, bool) {
 	g := rt.g
 	var need int64
 	for _, e := range g.In(id) {
 		edge := g.Edge(e)
-		if rt.out.MemoryOf(edge.From) != mu {
+		if rt.out.PoolOf(edge.From) != k {
 			need += edge.File
 		}
 	}
 	for _, e := range g.Out(id) {
 		need += g.Edge(e).File
 	}
-	return need, rt.used[mu]+need <= rt.p.Capacity(mu)
+	return need, rt.used[k]+need <= rt.p.Capacity(k)
 }
 
 // dispatch assigns admissible ready tasks to idle processors at the current
@@ -239,7 +244,7 @@ func (rt *runtime) dispatch(opt Options) bool {
 	for {
 		type move struct {
 			id   dag.TaskID
-			mu   platform.Memory
+			pool int
 			proc int
 			eft  float64
 		}
@@ -249,11 +254,11 @@ func (rt *runtime) dispatch(opt Options) bool {
 			if rt.dispatched[i] || rt.pendingIn[i] > 0 {
 				continue
 			}
-			for _, mu := range platform.Memories {
-				lo, hi := rt.p.ProcRange(mu)
+			for k := 0; k < rt.p.NumPools(); k++ {
+				lo, hi := rt.p.ProcRange(k)
 				proc := -1
 				for q := lo; q < hi; q++ {
-					if rt.procFree[q] <= rt.clock+schedule.Eps {
+					if rt.procFree[q] <= rt.clock+multi.Eps {
 						proc = q
 						break
 					}
@@ -261,22 +266,18 @@ func (rt *runtime) dispatch(opt Options) bool {
 				if proc < 0 {
 					continue
 				}
-				if _, ok := rt.admissible(id, mu); !ok {
+				if _, ok := rt.admissible(id, k); !ok {
 					continue
 				}
 				// Transfer window: all cross inputs start now.
 				delay := 0.0
 				for _, e := range g.In(id) {
 					edge := g.Edge(e)
-					if rt.out.MemoryOf(edge.From) != mu && edge.Comm > delay {
+					if rt.out.PoolOf(edge.From) != k && edge.Comm > delay {
 						delay = edge.Comm
 					}
 				}
-				w := g.Task(id).WBlue
-				if mu == platform.Red {
-					w = g.Task(id).WRed
-				}
-				eft := rt.clock + delay + w
+				eft := rt.clock + delay + rt.in.Time(id, k)
 				pick := false
 				switch opt.Policy {
 				case RankPolicy:
@@ -290,43 +291,40 @@ func (rt *runtime) dispatch(opt Options) bool {
 					}
 				}
 				if pick {
-					best = move{id: id, mu: mu, proc: proc, eft: eft}
+					best = move{id: id, pool: k, proc: proc, eft: eft}
 				}
 			}
 		}
 		if best.proc < 0 {
 			return progress
 		}
-		rt.start(best.id, best.mu, best.proc)
+		rt.start(best.id, best.pool, best.proc)
 		progress = true
 	}
 }
 
-// start dispatches task id on proc (memory mu) at the current clock:
-// transfers begin immediately, the task starts when the slowest transfer
-// completes, and all memory is pinned up front (admission control).
-func (rt *runtime) start(id dag.TaskID, mu platform.Memory, proc int) {
+// start dispatches task id on proc (pool k) at the current clock: transfers
+// begin immediately, the task starts when the slowest transfer completes,
+// and all memory is pinned up front (admission control).
+func (rt *runtime) start(id dag.TaskID, k int, proc int) {
 	g := rt.g
 	delay := 0.0
 	for _, e := range g.In(id) {
 		edge := g.Edge(e)
-		if rt.out.MemoryOf(edge.From) != mu {
+		if rt.out.PoolOf(edge.From) != k {
 			rt.out.CommStart[edge.ID] = rt.clock
 			if edge.Comm > delay {
 				delay = edge.Comm
 			}
-			rt.used[mu] += edge.File // dest copy pinned from now
+			rt.used[k] += edge.File // dest copy pinned from now
 		}
 	}
 	for _, e := range g.Out(id) {
-		rt.used[mu] += g.Edge(e).File
+		rt.used[k] += g.Edge(e).File
 	}
 	start := rt.clock + delay
-	w := g.Task(id).WBlue
-	if mu == platform.Red {
-		w = g.Task(id).WRed
-	}
-	rt.out.Tasks[id] = schedule.TaskPlacement{Start: start, Proc: proc}
+	w := rt.in.Time(id, k)
+	rt.out.Tasks[id] = multi.Placement{Start: start, Proc: proc}
 	rt.procFree[proc] = start + w
 	rt.dispatched[id] = true
 	rt.running++

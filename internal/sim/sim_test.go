@@ -6,9 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/linalg"
+	"repro/internal/multi"
 	"repro/internal/platform"
 )
 
@@ -16,7 +16,7 @@ func TestRunPaperExampleUnlimited(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, platform.Unlimited, platform.Unlimited)
 	for _, pol := range []Policy{RankPolicy, EFTPolicy} {
-		res, err := Run(tctx, g, p, Options{Policy: pol})
+		res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: pol})
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -33,12 +33,12 @@ func TestRunRespectsMemoryBounds(t *testing.T) {
 	g := dag.PaperExample()
 	for _, m := range []int64{5, 6, 8} {
 		p := platform.New(1, 1, m, m)
-		res, err := Run(tctx, g, p, Options{Policy: RankPolicy})
+		res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: RankPolicy})
 		if err != nil {
 			continue // online admission can be stricter than static
 		}
-		blue, red := res.Schedule.MemoryPeaks()
-		if blue > m || red > m {
+		pk := res.Schedule.MemoryPeaks()
+		if blue, red := pk[0], pk[1]; blue > m || red > m {
 			t.Fatalf("M=%d: peaks (%d,%d)", m, blue, red)
 		}
 	}
@@ -47,7 +47,7 @@ func TestRunRespectsMemoryBounds(t *testing.T) {
 func TestRunStuckOnTinyMemory(t *testing.T) {
 	g := dag.PaperExample()
 	p := platform.New(1, 1, 2, 2)
-	_, err := Run(tctx, g, p, Options{})
+	_, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{})
 	if !errors.Is(err, ErrStuck) {
 		t.Fatalf("err = %v, want ErrStuck", err)
 	}
@@ -56,7 +56,7 @@ func TestRunStuckOnTinyMemory(t *testing.T) {
 func TestRunChainSerialises(t *testing.T) {
 	g := dag.Chain(5, 2, 2, 1, 1)
 	p := platform.New(1, 0, 10, 0)
-	res, err := Run(tctx, g, p, Options{Policy: EFTPolicy})
+	res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: EFTPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTransfersStartEagerly(t *testing.T) {
 	b := g.AddTask("b", 9, 1) // wants red
 	g.MustAddEdge(a, b, 1, 3)
 	p := platform.New(1, 1, 10, 10)
-	res, err := Run(tctx, g, p, Options{Policy: EFTPolicy})
+	res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: EFTPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestPolicyDifferencesShowUp(t *testing.T) {
 	// somewhere; at minimum both must emit valid schedules.
 	g := randomDAG(5, 40)
 	p := platform.New(2, 2, platform.Unlimited, platform.Unlimited)
-	r1, err := Run(tctx, g, p, Options{Policy: RankPolicy})
+	r1, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: RankPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(tctx, g, p, Options{Policy: EFTPolicy})
+	r2, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: EFTPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPropertyOnlineSchedulesValidate(t *testing.T) {
 		bound := int64(rawBound%300) + 20
 		p := platform.New(2, 2, bound, bound)
 		for _, pol := range []Policy{RankPolicy, EFTPolicy} {
-			res, err := Run(tctx, g, p, Options{Policy: pol})
+			res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: pol})
 			if err != nil {
 				if !errors.Is(err, ErrStuck) {
 					return false
@@ -121,8 +121,8 @@ func TestPropertyOnlineSchedulesValidate(t *testing.T) {
 			if res.Schedule.Validate() != nil {
 				return false
 			}
-			blue, red := res.Schedule.MemoryPeaks()
-			if blue > bound || red > bound {
+			pk := res.Schedule.MemoryPeaks()
+			if blue, red := pk[0], pk[1]; blue > bound || red > bound {
 				return false
 			}
 		}
@@ -142,11 +142,11 @@ func TestOnlineVsStaticOnLU(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := platform.New(12, 3, 200, 200)
-	static, err := core.MemMinMin(tctx, g, p, core.Options{Seed: 1})
+	static, err := multi.MemMinMin(tctx, multi.FromDual(g), multi.FromDualPlatform(p), multi.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	online, err := Run(tctx, g, p, Options{Policy: EFTPolicy})
+	online, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: EFTPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestOnlineVsStaticOnLU(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := dag.New()
-	res, err := Run(tctx, g, platform.New(1, 1, 1, 1), Options{})
+	res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(platform.New(1, 1, 1, 1)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package memsched
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -56,7 +55,7 @@ func TestMemoryPeaksIndependentOfEdgeOrder(t *testing.T) {
 		if err := ms.Validate(); err != nil {
 			t.Fatalf("edge order %v: 2-pool: %v", order, err)
 		}
-		if u := s.UsageAt(Blue, 0); u != 12 {
+		if u := s.UsageAt(platform.Blue, 0); u != 12 {
 			t.Fatalf("edge order %v: blue usage at 0 = %d, want 12", order, u)
 		}
 		if blue, red := s.MemoryPeaks(); blue != 12 || red != 0 {
@@ -90,7 +89,7 @@ func TestPeaksAreTightWithNeverLiveResidency(t *testing.T) {
 	g.MustAddEdge(0, 1, 5, 1)
 	g.MustAddEdge(2, 3, 3, 1)
 	g.MustAddEdge(4, 5, 1, 1)
-	at := func(capacity int64) (*Schedule, *PoolSchedule) {
+	at := func(capacity int64) (*schedule.Schedule, *PoolSchedule) {
 		p := platform.New(len(work), 0, capacity, 0)
 		s := schedule.New(g, p)
 		ms := multi.NewSchedule(multi.FromDual(g), multi.FromDualPlatform(p))
@@ -101,7 +100,7 @@ func TestPeaksAreTightWithNeverLiveResidency(t *testing.T) {
 		return s, ms
 	}
 	s, ms := at(5)
-	if u := s.UsageAt(Blue, 0.5e-9); u != 8 {
+	if u := s.UsageAt(platform.Blue, 0.5e-9); u != 8 {
 		t.Fatalf("blue usage at 0.5e-9 = %d, want 8", u)
 	}
 	if blue, red := s.MemoryPeaks(); blue != 5 || red != 0 {
@@ -126,11 +125,11 @@ func TestPeaksAreTightWithNeverLiveResidency(t *testing.T) {
 }
 
 // TestMemoryPeaksMatchLiveRule is the property test of the peak sweep over
-// every schedule producer: both engines under the four list schedulers,
-// the insertion policy, descending-capacity warm-start chains (replayed and
-// margin-shortcut results), Simulate, Optimal and decoded JSON, on daggen
-// graphs and the paper's example, dual and k ∈ {3, 4} pool-time sessions,
-// unbounded and at α times the HEFT peak. On every result MemoryPeaks (and
+// every schedule producer: the four list schedulers, the insertion policy,
+// descending-capacity warm-start chains (replayed and margin-shortcut
+// results), Simulate and Optimal, on daggen graphs and the paper's example,
+// dual and k ∈ {3, 4} pool-time sessions, unbounded and at α times the HEFT
+// peak. On every result MemoryPeaks (and
 // the result's possibly carried-over PeakResidency) equals the quadratic
 // live-rule oracle, bounded peaks fit their capacities, and the peaks are
 // the tightest capacities Validate accepts.
@@ -160,10 +159,7 @@ func TestMemoryPeaksMatchLiveRule(t *testing.T) {
 		if res.Stats.ReplayedPlacements > 0 {
 			replayed++
 		}
-		switch {
-		case res.Schedule != nil:
-			checkDualPeaks(t, label, res.Schedule, res.PeakResidency())
-		case res.Pools != nil:
+		if res.Pools != nil { // nil: Optimal proved infeasibility
 			checkPoolPeaks(t, label, res.Pools, res.PeakResidency())
 		}
 	}
@@ -200,11 +196,8 @@ func TestMemoryPeaksMatchLiveRule(t *testing.T) {
 					check(label+" warm", res, err)
 				}
 			}
-			if k > 2 {
-				continue
-			}
 			for _, p := range platforms {
-				label := fmt.Sprintf("graph %d %v", gi, p)
+				label := fmt.Sprintf("graph %d k=%d %v", gi, k, p)
 				res, err := sess.Schedule(ctx, p, WithInsertion())
 				check(label+" insertion", res, err)
 				res, err = sess.Simulate(ctx, p, WithSeed(int64(gi)))
@@ -234,51 +227,6 @@ func poolTimes(g *dag.Graph, k int) [][]float64 {
 		}
 	}
 	return times
-}
-
-// checkDualPeaks runs the property checks on a dual schedule, whose
-// PeakResidency is carried.
-func checkDualPeaks(t *testing.T, label string, s *Schedule, carried []int64) {
-	t.Helper()
-	blue, red := s.MemoryPeaks()
-	got := []int64{blue, red}
-	want := livePeaks(t, label, s.Graph, 2, func(id dag.TaskID) int { return int(s.MemoryOf(id)) },
-		func(id dag.TaskID) float64 { return s.Tasks[id].Start }, s.Finish, s.CommStart)
-	if !slices.Equal(got, want) || !slices.Equal(carried, want) {
-		t.Fatalf("%s: MemoryPeaks %v, PeakResidency %v, live-rule oracle %v", label, got, carried, want)
-	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := schedule.DecodeJSON(s.Graph, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, r := back.MemoryPeaks(); b != blue || r != red {
-		t.Fatalf("%s: decoded JSON peaks (%d,%d), want (%d,%d)", label, b, r, blue, red)
-	}
-	for m, peak := range got {
-		if c := s.Platform.Capacity(Memory(m)); peak > c {
-			t.Fatalf("%s: %s peak %d over capacity %d", label, Memory(m), peak, c)
-		}
-	}
-	tight := s.Clone()
-	tight.Platform = s.Platform.WithBounds(blue, red)
-	if err := tight.Validate(); err != nil {
-		t.Fatalf("%s: rejected at its own peaks: %v", label, err)
-	}
-	for m, peak := range got {
-		if peak == 0 {
-			continue
-		}
-		bounds := slices.Clone(got)
-		bounds[m]--
-		tight.Platform = s.Platform.WithBounds(bounds[0], bounds[1])
-		if err := tight.Validate(); err == nil || !strings.Contains(err.Error(), "over capacity") {
-			t.Fatalf("%s: %s capacity %d below the peak: Validate = %v", label, Memory(m), bounds[m], err)
-		}
-	}
 }
 
 // checkPoolPeaks runs the property checks on a k-pool schedule.

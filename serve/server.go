@@ -926,21 +926,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, simulate bool
 }
 
 func placementsOf(res *memsched.Result) []Placement {
-	switch {
-	case res.Schedule != nil:
-		out := make([]Placement, len(res.Schedule.Tasks))
-		for i, t := range res.Schedule.Tasks {
-			out[i] = Placement{Task: i, Start: t.Start, Proc: t.Proc}
-		}
-		return out
-	case res.Pools != nil:
-		out := make([]Placement, len(res.Pools.Tasks))
-		for i, t := range res.Pools.Tasks {
-			out[i] = Placement{Task: i, Start: t.Start, Proc: t.Proc}
-		}
-		return out
+	if res.Pools == nil {
+		return nil
 	}
-	return nil
+	out := make([]Placement, len(res.Pools.Tasks))
+	for i, t := range res.Pools.Tasks {
+		out[i] = Placement{Task: i, Start: t.Start, Proc: t.Proc}
+	}
+	return out
 }
 
 // sweepSpecOf maps a sweep request onto the engine Spec and enforces the
@@ -1194,10 +1187,19 @@ func classify(err error) (status int, code string) {
 	}
 }
 
+// writeJSON encodes v before it commits the status line, so a value JSON
+// cannot carry (a NaN or an infinite float) answers 500 with a structured
+// body instead of the intended status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		data, _ = json.Marshal(ErrorResponse{Error: "encoding response: " + err.Error(), Code: CodeInternal,
+			RequestID: w.Header().Get(RequestIDHeader)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(data, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {

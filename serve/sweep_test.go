@@ -209,9 +209,9 @@ func TestSweepWorkerBudgetIsServerWide(t *testing.T) {
 }
 
 // TestSweepEngineRejectionIsPreStream400: failures the engine raises
-// before any point is delivered — here the exact search on a k-pool
-// session — must come back as a structured 4xx, not as a committed 200
-// with an in-stream error record.
+// before any point is delivered — here the exact search on a platform
+// whose pool count does not match the timing matrix — must come back as a
+// structured 4xx, not as a committed 200 with an in-stream error record.
 func TestSweepEngineRejectionIsPreStream400(t *testing.T) {
 	client, _ := newTestServer(t, serve.Config{})
 	ctx := context.Background()
@@ -225,7 +225,7 @@ func TestSweepEngineRejectionIsPreStream400(t *testing.T) {
 	_, err := client.Sweep(ctx, serve.SweepRequest{
 		Graph:      raw,
 		Times:      [][]float64{{1, 2, 3}, {3, 2, 1}},
-		Pools:      []serve.PoolSpec{{Procs: 1}, {Procs: 1}, {Procs: 1}},
+		Pools:      []serve.PoolSpec{{Procs: 1}, {Procs: 1}},
 		Alphas:     []float64{1.0},
 		Peak:       100, // skip the HEFT reference so the optimal point is the first failure
 		Schedulers: []string{"optimal"},
@@ -234,7 +234,7 @@ func TestSweepEngineRejectionIsPreStream400(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("want a pre-stream 400, got %v", err)
 	}
-	if !strings.Contains(apiErr.Message, "dual session") {
+	if !strings.Contains(apiErr.Message, "pool times") {
 		t.Fatalf("error does not name the cause: %v", err)
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/multi"
 	"repro/internal/sim"
@@ -20,49 +20,45 @@ import (
 )
 
 // Session is the primary scheduling handle: it is created once for a task
-// graph and owns every per-graph memo both engines use — the validated
-// statics, the seeded priority lists and mean ranks, the candidate caches'
-// inputs, and the k-pool engine's recycled scratch buffers. Those memos
-// used to live in process-global single slots; a Session makes them
-// per-graph, concurrency-safe and bounded by construction, so any number of
-// goroutines can call Schedule concurrently on any number of sessions
-// without contending.
+// graph and owns every per-graph memo the engine uses — the validated
+// statics, the seeded priority lists and mean ranks, and the candidate
+// caches' inputs. A Session makes them per-graph, concurrency-safe and
+// bounded by construction, so any number of goroutines can call Schedule
+// concurrently on any number of sessions without contending.
 //
 // A Session built with NewSession carries the graph's dual (blue/red)
-// processing times: scheduling it on a 2-pool platform runs the incremental
-// dual-memory engine, while platforms with another pool count are rejected
-// (the dual times define only two columns). A Session built with
-// WithPoolTimes carries an explicit per-pool timing matrix and always runs
-// the generalised k-pool engine.
+// processing times, so it schedules on 2-pool platforms: pool 0 runs the
+// blue times, pool 1 the red ones, and platforms with another pool count
+// are rejected (the dual times define only two columns). A Session built
+// with WithPoolTimes carries an explicit per-pool timing matrix and
+// schedules on platforms with that many pools. Both run the same engine.
 type Session struct {
-	g       *Graph
-	times   [][]float64 // nil = dual times from the graph
-	caches  *core.Caches
-	mcaches *multi.Caches // k-pool memos: ranks, priority lists, statics, validation
+	g      *Graph
+	times  [][]float64     // nil = dual times from the graph
+	inst   *multi.Instance // the graph with its timing matrix
+	caches *multi.Caches   // ranks, priority lists, statics, validation
 
 	mu   sync.Mutex
-	inst *multi.Instance // lazily built for the k-pool engine
-	hash string          // lazily computed canonical content hash
+	hash string // lazily computed canonical content hash
 
 	// Warm-start replay entries, keyed by (scheduler, seed): the committed
 	// placement sequence (and resulting peaks) of the most recent successful
 	// WithWarmStart run, replayed as a verified prefix by the next one when
 	// the platform capacities did not grow. Stored entries are immutable.
 	// Never shared with forks — each fork accumulates its own.
-	warmMu    sync.Mutex
-	warmDual  map[warmKey]*dualWarm
-	warmMulti map[warmKey]*multiWarm
+	warmMu sync.Mutex
+	warm   map[warmKey]*warmEntry
 }
 
 // SessionOption configures a Session at creation.
 type SessionOption func(*Session) error
 
 // WithPoolTimes supplies an explicit Times[task][pool] processing-time
-// matrix, turning the session into a k-pool session: Schedule then always
-// runs the generalised engine and the platform's pool count must match the
-// matrix width. The graph's WBlue/WRed fields are ignored. The matrix is
-// validated here, at the width of its first row, so a ragged or negative
-// matrix fails at creation instead of on every Schedule call.
+// matrix, turning the session into a k-pool session: the platform's pool
+// count must match the matrix width. The graph's WBlue/WRed fields are
+// ignored. The matrix is validated here, at the width of its first row, so
+// a ragged or negative matrix fails at creation instead of on every
+// Schedule call.
 func WithPoolTimes(times [][]float64) SessionOption {
 	return func(s *Session) error {
 		if len(times) != s.g.NumTasks() {
@@ -85,13 +81,18 @@ func NewSession(g *Graph, opts ...SessionOption) (*Session, error) {
 	if g == nil {
 		return nil, errors.New("memsched: nil graph")
 	}
-	s := &Session{g: g, caches: core.NewCaches(), mcaches: multi.NewCaches()}
+	s := &Session{g: g, caches: multi.NewCaches()}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.caches.Validate(g); err != nil {
+	if s.times != nil {
+		s.inst = multi.NewInstance(g, s.times)
+	} else {
+		s.inst = multi.FromDual(g)
+	}
+	if err := s.caches.Validate(s.inst, s.inst.Width()); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -125,11 +126,10 @@ func ForkCold() ForkOption {
 // Schedules produced by a fork are bit-identical to the parent's — the
 // memos only cache pure functions of the graph — so forks exist for
 // contention and warm-up: a worker that owns a fork never touches another
-// worker's cache mutexes or recycled buffers. The sweep engine (package
-// sweep) hands one warm fork to each of its workers. The graph hash and the
-// lazily built k-pool instance are shared (both are immutable once
-// computed); warm-start replay traces are not — each fork accumulates its
-// own.
+// worker's cache mutexes. The sweep engine (package sweep) hands one warm
+// fork to each of its workers. The graph hash and the instance are shared
+// (both are immutable once computed); warm-start replay traces are not —
+// each fork accumulates its own.
 func (s *Session) Fork(opts ...ForkOption) *Session {
 	var cfg forkConfig
 	for _, opt := range opts {
@@ -138,16 +138,14 @@ func (s *Session) Fork(opts ...ForkOption) *Session {
 	f := &Session{
 		g:     s.g,
 		times: s.times,
+		inst:  s.inst,
 		hash:  s.GraphHash(), // memoize once, share the value
 	}
 	if cfg.cold {
-		f.caches, f.mcaches = core.NewCaches(), multi.NewCaches()
+		f.caches = multi.NewCaches()
 	} else {
-		f.caches, f.mcaches = s.caches.Fork(), s.mcaches.Fork()
+		f.caches = s.caches.Fork()
 	}
-	s.mu.Lock()
-	f.inst = s.inst // nil is fine: the fork rebuilds it lazily
-	s.mu.Unlock()
 	return f
 }
 
@@ -181,21 +179,6 @@ func (s *Session) GraphHash() string {
 	return s.hash
 }
 
-// instance returns (building lazily) the multi-pool instance of the
-// session: the explicit pool times, or the dual columns of the graph.
-func (s *Session) instance() *multi.Instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inst == nil {
-		if s.times != nil {
-			s.inst = multi.NewInstance(s.g, s.times)
-		} else {
-			s.inst = multi.FromDual(s.g)
-		}
-	}
-	return s.inst
-}
-
 // scheduleConfig collects the functional options of one scheduling call.
 type scheduleConfig struct {
 	seed      int64
@@ -205,7 +188,7 @@ type scheduleConfig struct {
 	policy    SimPolicy
 	timeout   time.Duration
 	maxNodes  int
-	incumbent *Schedule
+	incumbent *PoolSchedule
 }
 
 // ScheduleOption tunes one Schedule, Optimal or Simulate call.
@@ -225,7 +208,7 @@ func WithScheduler(name string) ScheduleOption {
 
 // WithInsertion switches MemHEFT's processor selection to classical HEFT's
 // insertion-based policy (idle gaps may be filled) instead of the paper's
-// append policy. Only valid with the "memheft" scheduler on a dual session.
+// append policy. Only valid with the "memheft" scheduler.
 func WithInsertion() ScheduleOption {
 	return func(c *scheduleConfig) { c.insertion = true }
 }
@@ -271,7 +254,7 @@ func WithMaxNodes(n int) ScheduleOption {
 // search starts with its makespan as the upper bound, prunes against it
 // immediately, and reports it back when the node or time budget exhausts
 // before anything better is found. Ignored by Schedule and Simulate.
-func WithIncumbent(s *Schedule) ScheduleOption {
+func WithIncumbent(s *PoolSchedule) ScheduleOption {
 	return func(c *scheduleConfig) { c.incumbent = s }
 }
 
@@ -304,12 +287,10 @@ type Stats struct {
 	// Makespan of the produced schedule (+Inf when none was produced).
 	Makespan float64
 	// CacheHits / CacheMisses count candidate evaluations served from the
-	// epoch-invalidated memo vs recomputed, by whichever engine ran (the
-	// dual engine memoizes per (task, memory), the k-pool engine per
-	// (task, pool)).
+	// epoch-invalidated (task, pool) memo vs recomputed.
 	CacheHits, CacheMisses uint64
 	// PoolTasks is the number of tasks committed to each pool, in pool
-	// order (k-pool engine only; nil on the dual path).
+	// order (Schedule only).
 	PoolTasks []int
 	// ReplayedPlacements is the number of placements committed by verified
 	// trace replay instead of full candidate evaluation (WithWarmStart
@@ -349,15 +330,10 @@ func (st Stats) CacheHitRate() float64 {
 }
 
 // Result couples the schedule produced by a session call with its
-// statistics. Exactly one of Schedule and Pools is set: Schedule on the
-// dual-memory fast path (2-pool platform, dual session), Pools when the
-// generalised k-pool engine ran. The accessor methods dispatch to
-// whichever is present.
+// statistics.
 type Result struct {
-	// Schedule is the dual-memory schedule (nil on the k-pool path, and
-	// nil when Optimal proves infeasibility).
-	Schedule *Schedule
-	// Pools is the generalised k-pool schedule (nil on the dual path).
+	// Pools is the schedule, one placement per task on the platform's
+	// pools (nil when Optimal proves infeasibility).
 	Pools *PoolSchedule
 	// Stats are the structured statistics of the call.
 	Stats Stats
@@ -370,8 +346,8 @@ type Result struct {
 // schedule).
 func (r *Result) Makespan() float64 { return r.Stats.Makespan }
 
-// PeakResidency returns the peak memory residency of every pool (blue then
-// red on the dual path): the schedule's MemoryPeaks, one sort and sweep of
+// PeakResidency returns the peak memory residency of every pool, in pool
+// order (blue then red on a dual platform): the schedule's MemoryPeaks, one sort and sweep of
 // about 2n + 2·(cross edges) folded file events, under the tie rule that a
 // file counts at t when it is acquired by t+Eps and not released by t+Eps.
 // It is computed on first use and cached — except on successful
@@ -380,14 +356,7 @@ func (r *Result) Makespan() float64 { return r.Stats.Makespan }
 // instead of sweeping again. Nil when the result carries no schedule.
 func (r *Result) PeakResidency() []int64 {
 	r.peaksOnce.Do(func() {
-		if r.peaks != nil {
-			return // pre-seeded by a warm-start Schedule call
-		}
-		switch {
-		case r.Schedule != nil:
-			blue, red := r.Schedule.MemoryPeaks()
-			r.peaks = []int64{blue, red}
-		case r.Pools != nil:
+		if r.peaks == nil && r.Pools != nil { // else pre-seeded by a warm-start Schedule call
 			r.peaks = r.Pools.MemoryPeaks()
 		}
 	})
@@ -396,151 +365,85 @@ func (r *Result) PeakResidency() []int64 {
 
 // Validate re-checks every model constraint on the carried schedule.
 func (r *Result) Validate() error {
-	switch {
-	case r.Schedule != nil:
-		return r.Schedule.Validate()
-	case r.Pools != nil:
-		return r.Pools.Validate()
+	if r.Pools == nil {
+		return errors.New("memsched: result carries no schedule")
 	}
-	return errors.New("memsched: result carries no schedule")
+	return r.Pools.Validate()
+}
+
+// schedulers maps every registered scheduler name to its heuristic and
+// whether it runs memory-oblivious (on the platform's unbounded twin): the
+// four heuristics of the paper plus the insertion-policy ablation.
+var schedulers = map[string]struct {
+	run       multi.Func
+	oblivious bool
+}{
+	"heft":              {multi.MemHEFT, true},
+	"minmin":            {multi.MemMinMin, true},
+	"memheft":           {multi.MemHEFT, false},
+	"memminmin":         {multi.MemMinMin, false},
+	"memheft-insertion": {multi.MemHEFTInsertion, false},
+}
+
+// Schedulers returns the names registered with the scheduler registry,
+// sorted; WithScheduler accepts any of them (case-insensitively).
+func Schedulers() []string {
+	names := make([]string, 0, len(schedulers))
+	for name := range schedulers {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Schedule runs a list-scheduling heuristic for the session's graph on p
 // and returns the schedule with statistics. The heuristic defaults to
 // MemHEFT; select another with WithScheduler (see Schedulers for the
-// registry). Dual sessions on 2-pool platforms run the incremental
-// dual-memory engine; k-pool sessions run the generalised engine. The
-// context cancels the run cooperatively; heuristics that cannot fit the
-// graph in memory return an error wrapping ErrMemoryBound.
+// registry). The context cancels the run cooperatively; heuristics that
+// cannot fit the graph in memory return an error wrapping ErrMemoryBound.
 //
 // Schedule is safe for concurrent use, including concurrent calls on the
 // same session.
 func (s *Session) Schedule(ctx context.Context, p Platform, opts ...ScheduleOption) (*Result, error) {
 	cfg := newScheduleConfig(opts)
+	name := cfg.scheduler
+	if cfg.insertion {
+		if name != "memheft" {
+			return nil, fmt.Errorf("memsched: WithInsertion requires the memheft scheduler, got %q", cfg.scheduler)
+		}
+		name = "memheft-insertion"
+	}
+	sch, ok := schedulers[name]
+	if !ok {
+		return nil, fmt.Errorf("memsched: unknown heuristic %q (registered: %s)", cfg.scheduler, strings.Join(Schedulers(), ", "))
+	}
 	ctx, cancel := cfg.withTimeout(ctx)
 	defer cancel()
 	ctx, phaseRec, finishPhases := beginPhases(ctx)
 	defer finishPhases()
 	start := time.Now()
 
-	if dp, ok := p.Dual(); ok && s.times == nil {
-		fn, err := core.ByName(cfg.scheduler)
-		if err != nil {
-			return nil, err
-		}
-		name := cfg.scheduler
-		if cfg.insertion {
-			if name != "memheft" {
-				return nil, fmt.Errorf("memsched: WithInsertion requires the memheft scheduler, got %q", cfg.scheduler)
-			}
-			fn, name = core.MemHEFTInsertion, "memheft-insertion"
-		}
-		var rs core.RunStats
-		copt := core.Options{Seed: cfg.seed, Caches: s.caches, Stats: &rs}
-		var key warmKey
-		var rec *core.Trace
-		var prev *dualWarm
-		if cfg.warmStart && !cfg.insertion && ReplayableScheduler(name) {
-			key = warmKey{scheduler: name, seed: cfg.seed}
-			// heft/minmin run on the engine-effective unbounded platform
-			// and record their traces against it.
-			eff := dp
-			if name == "heft" || name == "minmin" {
-				eff = dp.Unbounded()
-			}
-			if prev = s.dualWarmEntry(key); prev != nil {
-				if prev.trace.FullReplayOn(eff) {
-					// Margin shortcut: the recorded fit slacks prove every
-					// step of the trace replays verbatim on eff, so the run
-					// would reproduce the stored schedule bit for bit —
-					// return a clone of it without running the engine. The
-					// stored entry stays anchored at its recording platform,
-					// keeping the margins exact for the rest of the chain.
-					endClone := trace.Start(ctx, "clone")
-					sched := prev.sched.Clone()
-					sched.Platform = eff
-					endClone()
-					res := &Result{
-						Schedule: sched,
-						Stats: Stats{
-							Scheduler:          name,
-							Makespan:           prev.makespan,
-							ReplayedPlacements: len(prev.trace.Cands),
-							WallTime:           time.Since(start),
-						},
-					}
-					if phaseRec != nil {
-						res.Stats.Phases = phasesOf(phaseRec)
-					}
-					res.peaks = append([]int64(nil), prev.peaks...)
-					return res, nil
-				}
-				copt.Replay = prev.trace
-			}
-			rec = &core.Trace{Cands: make([]core.Candidate, 0, s.g.NumTasks())}
-			copt.Record = rec
-		}
-		sched, err := fn(ctx, s.g, dp, copt)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{
-			Schedule: sched,
-			Stats: Stats{
-				Scheduler:          name,
-				Makespan:           rs.Makespan,
-				CacheHits:          rs.CacheHits,
-				CacheMisses:        rs.CacheMisses,
-				ReplayedPlacements: rs.Replayed,
-				ReplayTruncated:    rs.ReplayTruncated,
-				WallTime:           time.Since(start),
-			},
-		}
-		if phaseRec != nil {
-			res.Stats.Phases = phasesOf(phaseRec)
-		}
-		if rec != nil && rec.Complete {
-			// A replay that consumed the whole (complete) trace produced a
-			// schedule bit-identical to the recorded one, so its peaks carry
-			// over; otherwise compute them once here, serving both this
-			// result's PeakResidency and the next replay in the chain.
-			var peaks []int64
-			if prev != nil && prev.trace.Complete && rs.Replayed == len(prev.trace.Cands) {
-				peaks = prev.peaks
-			} else {
-				blue, red := sched.MemoryPeaks()
-				peaks = []int64{blue, red}
-			}
-			s.putDualWarm(key, rec, sched, rs.Makespan, peaks)
-			res.peaks = append([]int64(nil), peaks...)
-		}
-		return res, nil
+	// heft/minmin run on the engine-effective unbounded platform and
+	// record their traces against it.
+	eff := p
+	if sch.oblivious {
+		eff = p.Unbounded()
 	}
-
-	if cfg.insertion {
-		return nil, errDualSessionOnly("WithInsertion")
-	}
-	in := s.instance()
-	var (
-		msched *PoolSchedule
-		rs     multi.RunStats
-		err    error
-	)
-	mopt := multi.Options{Seed: cfg.seed, Caches: s.mcaches, Stats: &rs}
+	var rs multi.RunStats
+	mopt := multi.Options{Seed: cfg.seed, Caches: s.caches, Stats: &rs}
 	var key warmKey
 	var rec *multi.Trace
-	var prev *multiWarm
-	if cfg.warmStart && ReplayableScheduler(cfg.scheduler) {
-		key = warmKey{scheduler: cfg.scheduler, seed: cfg.seed}
-		// heft/minmin run on the engine-effective unbounded platform and
-		// record their traces against it.
-		eff := p
-		if cfg.scheduler == "heft" || cfg.scheduler == "minmin" {
-			eff = p.Unbounded()
-		}
-		if prev = s.multiWarmEntry(key); prev != nil {
+	var prev *warmEntry
+	if cfg.warmStart && ReplayableScheduler(name) {
+		key = warmKey{scheduler: name, seed: cfg.seed}
+		if prev = s.lookupWarm(key); prev != nil {
 			if prev.trace.FullReplayOn(eff) {
-				// Margin shortcut — see the dual path above.
+				// Margin shortcut: the recorded fit slacks prove every
+				// step of the trace replays verbatim on eff, so the run
+				// would reproduce the stored schedule bit for bit —
+				// return a clone of it without running the engine. The
+				// stored entry stays anchored at its recording platform,
+				// keeping the margins exact for the rest of the chain.
 				endClone := trace.Start(ctx, "clone")
 				sched := prev.sched.Clone()
 				sched.Platform = eff
@@ -548,7 +451,7 @@ func (s *Session) Schedule(ctx context.Context, p Platform, opts ...ScheduleOpti
 				res := &Result{
 					Pools: sched,
 					Stats: Stats{
-						Scheduler:          cfg.scheduler,
+						Scheduler:          name,
 						Makespan:           prev.makespan,
 						PoolTasks:          append([]int(nil), prev.poolTasks...),
 						ReplayedPlacements: len(prev.trace.Cands),
@@ -566,28 +469,14 @@ func (s *Session) Schedule(ctx context.Context, p Platform, opts ...ScheduleOpti
 		rec = &multi.Trace{Cands: make([]multi.Candidate, 0, s.g.NumTasks())}
 		mopt.Record = rec
 	}
-	switch cfg.scheduler {
-	case "memheft":
-		msched, err = multi.MemHEFT(ctx, in, p, mopt)
-	case "memminmin":
-		msched, err = multi.MemMinMin(ctx, in, p, mopt)
-	case "heft":
-		msched, err = multi.MemHEFT(ctx, in, p.Unbounded(), mopt)
-	case "minmin":
-		msched, err = multi.MemMinMin(ctx, in, p.Unbounded(), mopt)
-	default:
-		if _, nerr := core.ByName(cfg.scheduler); nerr != nil {
-			return nil, nerr
-		}
-		return nil, fmt.Errorf("memsched: scheduler %q is not available on k-pool platforms", cfg.scheduler)
-	}
+	sched, err := sch.run(ctx, s.inst, eff, mopt)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Pools: msched,
+		Pools: sched,
 		Stats: Stats{
-			Scheduler:          cfg.scheduler,
+			Scheduler:          name,
 			Makespan:           rs.Makespan,
 			CacheHits:          rs.CacheHits,
 			CacheMisses:        rs.CacheMisses,
@@ -601,39 +490,36 @@ func (s *Session) Schedule(ctx context.Context, p Platform, opts ...ScheduleOpti
 		res.Stats.Phases = phasesOf(phaseRec)
 	}
 	if rec != nil && rec.Complete {
-		// Same peak carry-over as the dual path: a full replay of a
-		// complete trace reproduced the recorded schedule bit for bit.
+		// A replay that consumed the whole (complete) trace produced a
+		// schedule bit-identical to the recorded one, so its peaks carry
+		// over; otherwise compute them once here, serving both this
+		// result's PeakResidency and the next replay in the chain.
 		var peaks []int64
 		if prev != nil && prev.trace.Complete && rs.Replayed == len(prev.trace.Cands) {
 			peaks = prev.peaks
 		} else {
-			peaks = msched.MemoryPeaks()
+			peaks = sched.MemoryPeaks()
 		}
-		s.putMultiWarm(key, rec, msched, rs.Makespan, rs.PoolTasks, peaks)
+		s.putWarm(key, rec, sched, rs.Makespan, rs.PoolTasks, peaks)
 		res.peaks = append([]int64(nil), peaks...)
 	}
 	return res, nil
 }
 
 // Optimal runs the branch-and-bound search for the best list schedule of
-// the session's graph on p. It requires a dual session and a 2-pool
-// platform. The result's Stats report the nodes explored and whether
-// optimality (over the list-schedule space) was proven; a nil
-// Result.Schedule with Stats.Proven means the instance is infeasible for
-// every list schedule. Cancelling the context (or WithTimeout expiring)
-// stops the search and reports the best incumbent, like an exhausted
-// WithMaxNodes budget.
+// the session's graph on p. The result's Stats report the nodes explored
+// and whether optimality (over the list-schedule space) was proven; a nil
+// Result.Pools with Stats.Proven means the instance is infeasible for every
+// list schedule. Cancelling the context (or WithTimeout expiring) stops the
+// search and reports the best incumbent, like an exhausted WithMaxNodes
+// budget.
 func (s *Session) Optimal(ctx context.Context, p Platform, opts ...ScheduleOption) (*Result, error) {
 	cfg := newScheduleConfig(opts)
-	dp, ok := p.Dual()
-	if !ok || s.times != nil {
-		return nil, errDualSessionOnly("Optimal")
-	}
 	ctx, phaseRec, finishPhases := beginPhases(ctx)
 	defer finishPhases()
 	start := time.Now()
 	endSearch := trace.Start(ctx, "search")
-	res, err := exact.Solve(ctx, s.g, dp, exact.Options{
+	res, err := exact.Solve(ctx, s.inst, p, exact.Options{
 		MaxNodes:  cfg.maxNodes,
 		Timeout:   cfg.timeout,
 		Incumbent: cfg.incumbent,
@@ -644,7 +530,7 @@ func (s *Session) Optimal(ctx context.Context, p Platform, opts ...ScheduleOptio
 		return nil, err
 	}
 	out := &Result{
-		Schedule: res.Schedule,
+		Pools: res.Schedule,
 		Stats: Stats{
 			Scheduler: "optimal",
 			Makespan:  res.Makespan,
@@ -660,28 +546,24 @@ func (s *Session) Optimal(ctx context.Context, p Platform, opts ...ScheduleOptio
 }
 
 // Simulate runs the online StarPU-style dispatcher for the session's graph
-// on p (dual sessions on 2-pool platforms only) and returns the emitted,
-// validated schedule. Select the dispatch order with WithPolicy; a
-// deadlocked run returns an error wrapping ErrSimStuck.
+// on p and returns the emitted, validated schedule. Select the dispatch
+// order with WithPolicy; a deadlocked run returns an error wrapping
+// ErrSimStuck.
 func (s *Session) Simulate(ctx context.Context, p Platform, opts ...ScheduleOption) (*Result, error) {
 	cfg := newScheduleConfig(opts)
-	dp, ok := p.Dual()
-	if !ok || s.times != nil {
-		return nil, errDualSessionOnly("Simulate")
-	}
 	ctx, cancel := cfg.withTimeout(ctx)
 	defer cancel()
 	ctx, phaseRec, finishPhases := beginPhases(ctx)
 	defer finishPhases()
 	start := time.Now()
 	endDispatch := trace.Start(ctx, "dispatch")
-	res, err := sim.Run(ctx, s.g, dp, sim.Options{Policy: cfg.policy, Seed: cfg.seed})
+	res, err := sim.Run(ctx, s.inst, p, sim.Options{Policy: cfg.policy, Seed: cfg.seed, Caches: s.caches})
 	endDispatch()
 	if err != nil {
 		return nil, err
 	}
 	out := &Result{
-		Schedule: res.Schedule,
+		Pools: res.Schedule,
 		Stats: Stats{
 			Scheduler: "sim-" + cfg.policy.String(),
 			Makespan:  res.Schedule.Makespan(),
@@ -696,18 +578,11 @@ func (s *Session) Simulate(ctx context.Context, p Platform, opts ...ScheduleOpti
 }
 
 // LowerBound returns a makespan lower bound valid for every schedule of the
-// session's graph on p (critical path and aggregate work arguments). It
-// requires a dual session and a 2-pool platform: the bound is derived from
-// the graph's dual processing times, which a WithPoolTimes session ignores.
+// session's graph on p (critical path and aggregate work arguments, from
+// each task's fastest pool).
 func (s *Session) LowerBound(p Platform) (float64, error) {
-	dp, ok := p.Dual()
-	if !ok || s.times != nil {
-		return 0, errDualSessionOnly("LowerBound")
+	if err := s.caches.Validate(s.inst, p.NumPools()); err != nil {
+		return 0, err
 	}
-	return exact.LowerBound(s.g, dp)
+	return exact.LowerBound(s.inst, p)
 }
-
-// Schedulers returns the names registered with the scheduler registry,
-// sorted; WithScheduler and SchedulerByName accept any of them
-// (case-insensitively).
-func Schedulers() []string { return core.Names() }

@@ -4,31 +4,19 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/daggen"
-	"repro/internal/platform"
-	"repro/internal/schedule"
+	"repro/internal/multi"
 )
 
-// dualOf converts a facade 2-pool platform to the internal dual form for
-// the reference oracles.
-func dualOf(t *testing.T, p Platform) platform.Platform {
-	t.Helper()
-	dp, ok := p.Dual()
-	if !ok {
-		t.Fatal("not a 2-pool platform")
-	}
-	return dp
-}
-
-// sameDualSchedule compares placements and communication starts with exact
+// sameSchedule compares placements and communication starts with exact
 // float equality.
-func sameDualSchedule(t *testing.T, tag string, got, want *schedule.Schedule) {
+func sameSchedule(t *testing.T, tag string, got, want *PoolSchedule) {
 	t.Helper()
 	if len(got.Tasks) != len(want.Tasks) {
 		t.Fatalf("%s: %d task placements, want %d", tag, len(got.Tasks), len(want.Tasks))
@@ -70,9 +58,9 @@ func TestSessionGoldenEquivalence(t *testing.T) {
 	if peaks[1] > peak {
 		peak = peaks[1]
 	}
-	oracles := map[string]core.Func{
-		"memheft":   core.MemHEFTReference,
-		"memminmin": core.MemMinMinReference,
+	oracles := map[string]multi.Func{
+		"memheft":   multi.MemHEFTReference,
+		"memminmin": multi.MemMinMinReference,
 	}
 	for _, alpha := range []float64{0.3, 0.5, 0.8, 1.0} {
 		bound := int64(alpha * float64(peak))
@@ -82,7 +70,7 @@ func TestSessionGoldenEquivalence(t *testing.T) {
 			// session's warm memos and must not diverge.
 			for round := 0; round < 2; round++ {
 				res, gotErr := sess.Schedule(ctx, p, WithScheduler(name), WithSeed(41))
-				want, wantErr := oracle(ctx, g, dualOf(t, p), core.Options{Seed: 41})
+				want, wantErr := oracle(ctx, DualInstance(g), p, multi.Options{Seed: 41})
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("%s alpha=%g: session err=%v, reference err=%v", name, alpha, gotErr, wantErr)
 				}
@@ -92,7 +80,7 @@ func TestSessionGoldenEquivalence(t *testing.T) {
 					}
 					continue
 				}
-				sameDualSchedule(t, name, res.Schedule, want)
+				sameSchedule(t, name, res.Pools, want)
 				if res.Stats.Makespan != want.Makespan() {
 					t.Fatalf("%s: stats makespan %g, schedule says %g", name, res.Stats.Makespan, want.Makespan())
 				}
@@ -102,9 +90,8 @@ func TestSessionGoldenEquivalence(t *testing.T) {
 }
 
 // TestSessionDualAsTwoPool checks the collapsed surface both ways: a
-// pool-times session carrying the dual columns (forced through the
-// generalised k-pool engine) must reproduce the dual engine's placements
-// exactly on the same 2-pool platform.
+// pool-times session carrying the dual columns must reproduce a plain
+// session's placements exactly on the same 2-pool platform.
 func TestSessionDualAsTwoPool(t *testing.T) {
 	ctx := context.Background()
 	g, err := daggen.Generate(daggen.SmallParams(), 17)
@@ -138,15 +125,7 @@ func TestSessionDualAsTwoPool(t *testing.T) {
 				}
 				continue
 			}
-			if dres.Schedule == nil || mres.Pools == nil {
-				t.Fatalf("%s bound=%d: engine routing wrong: dual=%v pools=%v", name, bound, dres.Schedule != nil, mres.Pools != nil)
-			}
-			for i := range dres.Schedule.Tasks {
-				dp, mp := dres.Schedule.Tasks[i], mres.Pools.Tasks[i]
-				if dp.Start != mp.Start || dp.Proc != mp.Proc {
-					t.Fatalf("%s bound=%d: task %d dual %+v vs pools %+v", name, bound, i, dp, mp)
-				}
-			}
+			sameSchedule(t, name, mres.Pools, dres.Pools)
 			if err := mres.Validate(); err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +154,7 @@ func TestConcurrentSessionsDifferentGraphs(t *testing.T) {
 	p := NewDualPlatform(2, 2, 300, 300)
 	type fixture struct {
 		sess *Session
-		want map[string]*schedule.Schedule
+		want map[string]*PoolSchedule
 		g    *Graph
 	}
 	fixtures := make([]fixture, 0, 2)
@@ -184,12 +163,12 @@ func TestConcurrentSessionsDifferentGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[string]*schedule.Schedule{}
-		for name, oracle := range map[string]core.Func{
-			"memheft":   core.MemHEFTReference,
-			"memminmin": core.MemMinMinReference,
+		want := map[string]*PoolSchedule{}
+		for name, oracle := range map[string]multi.Func{
+			"memheft":   multi.MemHEFTReference,
+			"memminmin": multi.MemMinMinReference,
 		} {
-			s, err := oracle(ctx, g, dualOf(t, p), core.Options{Seed: 9})
+			s, err := oracle(ctx, DualInstance(g), p, multi.Options{Seed: 9})
 			if err != nil {
 				t.Fatalf("reference %s: %v", name, err)
 			}
@@ -215,7 +194,7 @@ func TestConcurrentSessionsDifferentGraphs(t *testing.T) {
 					t.Errorf("goroutine %d: %v", w, err)
 					return
 				}
-				got, want := res.Schedule, fx.want[name]
+				got, want := res.Pools, fx.want[name]
 				for j := range want.Tasks {
 					if got.Tasks[j] != want.Tasks[j] {
 						t.Errorf("goroutine %d: %s task %d placed %+v, want %+v", w, name, j, got.Tasks[j], want.Tasks[j])
@@ -241,12 +220,17 @@ func TestSchedulerRegistry(t *testing.T) {
 			t.Fatalf("registry not sorted: %v", names)
 		}
 	}
-	for _, variant := range []string{"memheft", "MemHEFT", "MEMHEFT", "  memheft "} {
-		if _, err := SchedulerByName(variant); err != nil {
-			t.Fatalf("SchedulerByName(%q): %v", variant, err)
+	sess, err := NewSession(PaperExample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewDualPlatform(1, 1, 10, 10)
+	for _, variant := range []string{"memheft", "MemHEFT", "MEMHEFT", "  memheft ", "MemMinMin"} {
+		if _, err := sess.Schedule(context.Background(), p, WithScheduler(variant)); err != nil {
+			t.Fatalf("WithScheduler(%q): %v", variant, err)
 		}
 	}
-	_, err := SchedulerByName("bogus")
+	_, err = sess.Schedule(context.Background(), p, WithScheduler("bogus"))
 	if err == nil {
 		t.Fatal("bogus scheduler accepted")
 	}
@@ -254,18 +238,6 @@ func TestSchedulerRegistry(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("registry error %q does not list %q", err, name)
 		}
-	}
-	// WithScheduler goes through the same registry.
-	sess, err := NewSession(PaperExample())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewDualPlatform(1, 1, 10, 10)
-	if _, err := sess.Schedule(context.Background(), p, WithScheduler("MemMinMin")); err != nil {
-		t.Fatalf("case-insensitive WithScheduler: %v", err)
-	}
-	if _, err := sess.Schedule(context.Background(), p, WithScheduler("nope")); err == nil {
-		t.Fatal("unknown scheduler accepted")
 	}
 }
 
@@ -361,9 +333,8 @@ func TestSessionStats(t *testing.T) {
 }
 
 // TestSessionKPoolRouting checks the platform-arity rules: dual sessions
-// reject non-2-pool platforms, insertion requires the dual engine, and the
-// deprecated flat API keeps working against 2-pool platforms while
-// rejecting others.
+// reject non-2-pool platforms on every entry point, and insertion requires
+// the memheft scheduler but no particular pool count.
 func TestSessionKPoolRouting(t *testing.T) {
 	ctx := context.Background()
 	g := PaperExample()
@@ -381,6 +352,9 @@ func TestSessionKPoolRouting(t *testing.T) {
 	if _, err := sess.Simulate(ctx, three); err == nil {
 		t.Fatal("Simulate accepted a 3-pool platform")
 	}
+	if _, err := sess.LowerBound(three); err == nil {
+		t.Fatal("LowerBound accepted a 3-pool platform")
+	}
 	p := NewDualPlatform(1, 1, 10, 10)
 	if _, err := sess.Schedule(ctx, p, WithScheduler("memminmin"), WithInsertion()); err == nil {
 		t.Fatal("WithInsertion accepted for memminmin")
@@ -392,12 +366,17 @@ func TestSessionKPoolRouting(t *testing.T) {
 	if res.Stats.Scheduler != "memheft-insertion" {
 		t.Fatalf("insertion run recorded as %q", res.Stats.Scheduler)
 	}
-	// Deprecated flat API on the unified platform type.
-	if _, err := MemHEFT(g, p, Options{Seed: 1}); err != nil {
-		t.Fatalf("deprecated MemHEFT: %v", err)
+	triple := make([][]float64, g.NumTasks())
+	for i := range triple {
+		task := g.Task(TaskID(i))
+		triple[i] = []float64{task.WBlue, task.WRed, task.WRed}
 	}
-	if _, err := MemHEFT(g, three, Options{}); err == nil {
-		t.Fatal("deprecated MemHEFT accepted a 3-pool platform")
+	kSess, err := NewSession(g, WithPoolTimes(triple))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := kSess.Schedule(ctx, three, WithInsertion()); err != nil || res.Validate() != nil {
+		t.Fatalf("insertion on 3 pools: %v", err)
 	}
 }
 
@@ -510,12 +489,12 @@ func TestSessionForkWarmAndCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s fork: %v", name, err)
 		}
-		if len(got.Schedule.Tasks) != len(want.Schedule.Tasks) {
+		if len(got.Pools.Tasks) != len(want.Pools.Tasks) {
 			t.Fatalf("%s fork: task count diverged", name)
 		}
-		for i := range want.Schedule.Tasks {
-			if got.Schedule.Tasks[i] != want.Schedule.Tasks[i] {
-				t.Fatalf("%s fork: task %d placed %+v, parent says %+v", name, i, got.Schedule.Tasks[i], want.Schedule.Tasks[i])
+		for i := range want.Pools.Tasks {
+			if got.Pools.Tasks[i] != want.Pools.Tasks[i] {
+				t.Fatalf("%s fork: task %d placed %+v, parent says %+v", name, i, got.Pools.Tasks[i], want.Pools.Tasks[i])
 			}
 		}
 	}
@@ -526,15 +505,15 @@ func TestSessionForkWarmAndCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := div.Schedule.Validate(); err != nil {
+	if err := div.Pools.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	again, err := sess.Schedule(ctx, p, WithSeed(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Schedule.Tasks {
-		if again.Schedule.Tasks[i] != want.Schedule.Tasks[i] {
+	for i := range want.Pools.Tasks {
+		if again.Pools.Tasks[i] != want.Pools.Tasks[i] {
 			t.Fatalf("parent diverged at task %d after fork detach", i)
 		}
 	}
@@ -570,5 +549,86 @@ func TestSessionKPoolCancellation(t *testing.T) {
 		if _, err := sess.Schedule(ctx, p, WithScheduler(name)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("k-pool %s on cancelled ctx: err = %v", name, err)
 		}
+	}
+}
+
+// TestThreePoolOptimalBracketsHeuristics runs the exact search on 3-pool
+// platforms: every proven optimum is at most each heuristic's makespan
+// (the heuristics' schedules lie in the searched list-schedule space; the
+// memory-oblivious ones only on an unbounded platform) and at least
+// LowerBound, and every result validates.
+func TestThreePoolOptimalBracketsHeuristics(t *testing.T) {
+	ctx := context.Background()
+	proven, compared := 0, 0
+	for seed := int64(1); seed <= 6; seed++ {
+		params := daggen.SmallParams()
+		params.Size = 6
+		g, err := daggen.Generate(params, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := NewSession(g, WithPoolTimes(poolTimes(g, 3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		unbounded := NewPlatform(Pool{Procs: 1, Capacity: Unlimited}, Pool{Procs: 1, Capacity: Unlimited}, Pool{Procs: 1, Capacity: Unlimited})
+		ref, err := sess.Schedule(ctx, unbounded, WithScheduler("heft"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := sess.LowerBound(unbounded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alpha := range []float64{0, 1, 0.7} {
+			p := unbounded
+			if alpha > 0 {
+				p = unbounded.WithUniformBounds(int64(alpha * float64(slices.Max(ref.PeakResidency()))))
+			}
+			opt, err := sess.Optimal(ctx, p, WithMaxNodes(200000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opt.Pools != nil {
+				if err := opt.Validate(); err != nil {
+					t.Fatalf("seed %d %v: optimal: %v", seed, p, err)
+				}
+				if opt.Makespan() < lb-1e-9 {
+					t.Fatalf("seed %d %v: optimum %g below the lower bound %g", seed, p, opt.Makespan(), lb)
+				}
+			}
+			if opt.Stats.Proven {
+				proven++
+			}
+			names := []string{"memheft", "memminmin"}
+			if alpha == 0 {
+				names = append(names, "heft", "minmin")
+			}
+			for _, name := range names {
+				res, err := sess.Schedule(ctx, p, WithScheduler(name), WithSeed(seed))
+				if errors.Is(err, ErrMemoryBound) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := res.Validate(); err != nil {
+					t.Fatalf("seed %d %v %s: %v", seed, p, name, err)
+				}
+				if !opt.Stats.Proven {
+					continue
+				}
+				if opt.Pools == nil {
+					t.Fatalf("seed %d %v: %s scheduled what Optimal proved infeasible", seed, p, name)
+				}
+				if opt.Makespan() > res.Makespan()+1e-9 {
+					t.Fatalf("seed %d %v: optimum %g above %s's %g", seed, p, opt.Makespan(), name, res.Makespan())
+				}
+				compared++
+			}
+		}
+	}
+	if proven < 12 || compared < 30 {
+		t.Fatalf("%d of 18 searches proven, %d heuristic results compared: the test is too thin", proven, compared)
 	}
 }

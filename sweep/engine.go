@@ -459,7 +459,7 @@ func runPoint(ctx context.Context, sess *memsched.Session, spec *Spec, pt Point,
 		pr.Reason = "sim_stuck"
 	case err != nil:
 		return outcome{err: fmt.Errorf("sweep: point %d (%s): %w", idx, pt.Scheduler, err)}
-	case res.Schedule == nil && res.Pools == nil:
+	case res.Pools == nil:
 		// Optimal with no incumbent in budget, or proven infeasible.
 		pr.Reason = "infeasible"
 		pr.Stats = res.Stats

@@ -57,10 +57,10 @@ func denseAlphas(n int) []float64 {
 }
 
 // TestReplayGoldenEquivalenceDual is the acceptance test of capacity-delta
-// replay on the dual engine: a replayed sweep must be bit-identical to the
-// from-scratch engine at every point, for one worker and for many, over a
-// dense alpha grid that crosses the feasibility frontier — while actually
-// replaying a nonzero number of placements.
+// replay on a plain (dual-time) session: a replayed sweep must be
+// bit-identical to the from-scratch engine at every point, for one worker
+// and for many, over a dense alpha grid that crosses the feasibility
+// frontier — while actually replaying a nonzero number of placements.
 func TestReplayGoldenEquivalenceDual(t *testing.T) {
 	sess := testSession(t, 80, 7)
 	spec := sweep.Spec{

@@ -147,7 +147,7 @@ type Point struct {
 	// with a known-valid schedule (see memsched.WithIncumbent); ignored
 	// by every other scheduler. Only expressible on explicit Points —
 	// grid points have no natural incumbent.
-	Incumbent *memsched.Schedule
+	Incumbent *memsched.PoolSchedule
 }
 
 // PointResult is the outcome of one point. Feasible is false when the

@@ -311,9 +311,10 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // TestFatalPointErrorSurfaces: a point failing for a reason other than
-// infeasibility (here: the exact search on a k-pool session) stops the
-// sweep, and the returned error names that cause rather than the
-// collateral cancellation of the other in-flight points.
+// infeasibility (here: an exact search on a platform whose pool count does
+// not match the session's timing matrix) stops the sweep, and the returned
+// error names that cause rather than the collateral cancellation of the
+// other in-flight points.
 func TestFatalPointErrorSurfaces(t *testing.T) {
 	g := testGraph(t, 30, 5)
 	times := make([][]float64, g.NumTasks())
@@ -330,19 +331,23 @@ func TestFatalPointErrorSurfaces(t *testing.T) {
 		memsched.Pool{Procs: 1, Capacity: memsched.Unlimited},
 		memsched.Pool{Procs: 1, Capacity: memsched.Unlimited},
 	)
-	res, err := sweep.Run(context.Background(), sess, sweep.Spec{
-		Platforms:  []memsched.Platform{p},
-		Schedulers: []string{"memheft", sweep.SchedulerOptimal},
-		Seeds:      []int64{1, 2},
-		Workers:    4,
-	})
+	two := memsched.NewPlatform(
+		memsched.Pool{Procs: 1, Capacity: memsched.Unlimited},
+		memsched.Pool{Procs: 1, Capacity: memsched.Unlimited},
+	)
+	var points []sweep.Point
+	for seed := int64(1); seed <= 4; seed++ {
+		points = append(points, sweep.Point{Platform: p, Scheduler: "memheft", Seed: seed})
+	}
+	points = append(points, sweep.Point{Platform: two, Scheduler: sweep.SchedulerOptimal, Seed: 1})
+	res, err := sweep.Run(context.Background(), sess, sweep.Spec{Points: points, Workers: 4})
 	if err == nil {
-		t.Fatal("optimal on a k-pool session should be a fatal sweep error")
+		t.Fatal("a pool-count mismatch should be a fatal sweep error")
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("collateral cancellation masked the cause: %v", err)
 	}
-	if !strings.Contains(err.Error(), "dual session") {
+	if !strings.Contains(err.Error(), "pool times") {
 		t.Fatalf("error does not name the cause: %v", err)
 	}
 	if res.Summary != nil {
@@ -458,7 +463,7 @@ func TestExplicitPoints(t *testing.T) {
 	if res.Points[0].Makespan != res.Points[1].Makespan {
 		t.Fatal("defaulted point differs from explicit memheft")
 	}
-	if res.Points[0].Result == nil || res.Points[0].Result.Schedule == nil {
+	if res.Points[0].Result == nil || res.Points[0].Result.Pools == nil {
 		t.Fatal("KeepResults dropped the schedule")
 	}
 	if res.Summary.Curves != nil || res.Summary.Frontier != nil {
@@ -489,8 +494,8 @@ func TestForkEquivalence(t *testing.T) {
 	if a.Makespan() != b.Makespan() {
 		t.Fatalf("fork makespan %g != %g", b.Makespan(), a.Makespan())
 	}
-	for i := range a.Schedule.Tasks {
-		if a.Schedule.Tasks[i] != b.Schedule.Tasks[i] {
+	for i := range a.Pools.Tasks {
+		if a.Pools.Tasks[i] != b.Pools.Tasks[i] {
 			t.Fatalf("fork placement differs at task %d", i)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/multi"
 )
 
@@ -20,7 +19,7 @@ type warmKey struct {
 	seed      int64
 }
 
-// maxWarmTraces bounds the per-engine trace store of a session. A sweep
+// maxWarmTraces bounds the trace store of a session. A sweep
 // chain uses one key at a time (a handful across schedulers and seeds);
 // beyond the bound an arbitrary entry is evicted, which only costs the next
 // warm-started run its replay.
@@ -40,24 +39,16 @@ func ReplayableScheduler(name string) bool {
 	return false
 }
 
-// dualWarm is one stored dual-engine warm entry: the recorded trace, a
-// private clone of the schedule it produced with its makespan, and the peak
-// memory residencies of that schedule. When a later run replays the complete
-// trace its schedule is bit-identical to the recorded one, so the stored
-// peaks let it skip the MemoryPeaks sweep, a sort of about 2n + 2·(cross
-// edges) folded file events; when the trace's fit margins prove the whole
-// replay up front (Trace.FullReplayOn), the stored schedule is cloned out
-// directly and the engine never runs. All fields are immutable once stored.
-type dualWarm struct {
-	trace    *core.Trace
-	sched    *Schedule // private clone; never handed out directly
-	makespan float64
-	peaks    []int64 // blue, red
-}
-
-// multiWarm mirrors dualWarm for the k-pool engine, with the per-pool task
-// counts the engine would have reported.
-type multiWarm struct {
+// warmEntry is one stored warm entry: the recorded trace, a private clone
+// of the schedule it produced with its makespan and per-pool task counts,
+// and the peak memory residencies of that schedule. When a later run
+// replays the complete trace its schedule is bit-identical to the recorded
+// one, so the stored peaks let it skip the MemoryPeaks sweep, a sort of
+// about 2n + 2·(cross edges) folded file events; when the trace's fit
+// margins prove the whole replay up front (Trace.FullReplayOn), the stored
+// schedule is cloned out directly and the engine never runs. All fields are
+// immutable once stored.
+type warmEntry struct {
 	trace     *multi.Trace
 	sched     *PoolSchedule // private clone; never handed out directly
 	makespan  float64
@@ -65,53 +56,24 @@ type multiWarm struct {
 	peaks     []int64 // per pool
 }
 
-// dualWarmEntry returns the stored dual-engine entry of k (nil when
-// absent). The returned entry is immutable and safe to read concurrently.
-func (s *Session) dualWarmEntry(k warmKey) *dualWarm {
+// lookupWarm returns the stored entry of k (nil when absent). The returned
+// entry is immutable and safe to read concurrently.
+func (s *Session) lookupWarm(k warmKey) *warmEntry {
 	s.warmMu.Lock()
 	defer s.warmMu.Unlock()
-	return s.warmDual[k]
+	return s.warm[k]
 }
 
-// putDualWarm stores tr with a private clone of the schedule it produced,
-// its makespan and its peaks under k, replacing any previous entry.
-// Incomplete traces (failed or interrupted runs) are dropped: replaying a
-// prefix of a run that did not finish could diverge from a from-scratch run
-// in ways the per-step verification never gets to check.
-func (s *Session) putDualWarm(k warmKey, tr *core.Trace, sched *Schedule, makespan float64, peaks []int64) {
+// putWarm stores tr with a private clone of the schedule it produced, its
+// makespan, per-pool task counts and peaks under k, replacing any previous
+// entry. Incomplete traces (failed or interrupted runs) are dropped:
+// replaying a prefix of a run that did not finish could diverge from a
+// from-scratch run in ways the per-step verification never gets to check.
+func (s *Session) putWarm(k warmKey, tr *multi.Trace, sched *PoolSchedule, makespan float64, poolTasks []int, peaks []int64) {
 	if tr == nil || !tr.Complete {
 		return
 	}
-	entry := &dualWarm{trace: tr, sched: sched.Clone(), makespan: makespan, peaks: peaks}
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	if s.warmDual == nil {
-		s.warmDual = make(map[warmKey]*dualWarm, maxWarmTraces)
-	}
-	if _, ok := s.warmDual[k]; !ok {
-		for len(s.warmDual) >= maxWarmTraces {
-			for victim := range s.warmDual {
-				delete(s.warmDual, victim)
-				break
-			}
-		}
-	}
-	s.warmDual[k] = entry
-}
-
-// multiWarmEntry and putMultiWarm mirror the dual-engine store for the
-// k-pool engine.
-func (s *Session) multiWarmEntry(k warmKey) *multiWarm {
-	s.warmMu.Lock()
-	defer s.warmMu.Unlock()
-	return s.warmMulti[k]
-}
-
-func (s *Session) putMultiWarm(k warmKey, tr *multi.Trace, sched *PoolSchedule, makespan float64, poolTasks []int, peaks []int64) {
-	if tr == nil || !tr.Complete {
-		return
-	}
-	entry := &multiWarm{
+	entry := &warmEntry{
 		trace:     tr,
 		sched:     sched.Clone(),
 		makespan:  makespan,
@@ -120,27 +82,26 @@ func (s *Session) putMultiWarm(k warmKey, tr *multi.Trace, sched *PoolSchedule, 
 	}
 	s.warmMu.Lock()
 	defer s.warmMu.Unlock()
-	if s.warmMulti == nil {
-		s.warmMulti = make(map[warmKey]*multiWarm, maxWarmTraces)
+	if s.warm == nil {
+		s.warm = make(map[warmKey]*warmEntry, maxWarmTraces)
 	}
-	if _, ok := s.warmMulti[k]; !ok {
-		for len(s.warmMulti) >= maxWarmTraces {
-			for victim := range s.warmMulti {
-				delete(s.warmMulti, victim)
+	if _, ok := s.warm[k]; !ok {
+		for len(s.warm) >= maxWarmTraces {
+			for victim := range s.warm {
+				delete(s.warm, victim)
 				break
 			}
 		}
 	}
-	s.warmMulti[k] = entry
+	s.warm[k] = entry
 }
 
 // WarmUp precomputes everything a Schedule call and every warm fork inherit
-// — validation, graph statics, mean ranks and the priority list of each
-// given seed (default seed 0) — with cooperative cancellation, so the
-// session's first scheduling call and every Fork taken afterwards start
-// fully warm. Dual sessions warm the dual-engine memos; WithPoolTimes
-// sessions warm the k-pool memos. Calling WarmUp is never required:
-// everything it computes is also computed lazily.
+// — graph statics, mean ranks and the priority list of each given seed
+// (default seed 0) — with cooperative cancellation, so the session's first
+// scheduling call and every Fork taken afterwards start fully warm. Calling
+// WarmUp is never required: everything it computes is also computed
+// lazily.
 func (s *Session) WarmUp(ctx context.Context, seeds ...int64) error {
 	if len(seeds) == 0 {
 		seeds = []int64{0}
@@ -148,13 +109,7 @@ func (s *Session) WarmUp(ctx context.Context, seeds ...int64) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var err error
-	if s.times == nil {
-		err = s.caches.Warm(ctx, s.g, seeds)
-	} else {
-		err = s.mcaches.Warm(ctx, s.instance(), seeds)
-	}
-	if err != nil {
+	if err := s.caches.Warm(ctx, s.inst, seeds); err != nil {
 		return fmt.Errorf("memsched: warm-up interrupted: %w", err)
 	}
 	return nil

@@ -54,13 +54,13 @@ func TestWarmStartChainMatchesCold(t *testing.T) {
 		if werr != nil {
 			continue // both infeasible: nothing to compare, no trace stored
 		}
-		if len(wres.Schedule.Tasks) != len(cres.Schedule.Tasks) {
+		if len(wres.Pools.Tasks) != len(cres.Pools.Tasks) {
 			t.Fatalf("step %d: task count diverged", step)
 		}
-		for i := range cres.Schedule.Tasks {
-			if wres.Schedule.Tasks[i] != cres.Schedule.Tasks[i] {
+		for i := range cres.Pools.Tasks {
+			if wres.Pools.Tasks[i] != cres.Pools.Tasks[i] {
 				t.Fatalf("step %d: task %d placed %+v warm, %+v cold",
-					step, i, wres.Schedule.Tasks[i], cres.Schedule.Tasks[i])
+					step, i, wres.Pools.Tasks[i], cres.Pools.Tasks[i])
 			}
 		}
 		if step == 0 && wres.Stats.ReplayedPlacements != 0 {
@@ -212,8 +212,8 @@ func TestConcurrentForkDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Schedule.Tasks {
-		if again.Schedule.Tasks[i] != want.Schedule.Tasks[i] {
+	for i := range want.Pools.Tasks {
+		if again.Pools.Tasks[i] != want.Pools.Tasks[i] {
 			t.Fatalf("parent schedule diverged at task %d after concurrent forks", i)
 		}
 	}
