@@ -148,12 +148,6 @@ const (
 // ErrSimStuck is returned (wrapped) when the online run deadlocks on memory.
 var ErrSimStuck = sim.ErrStuck
 
-// The pre-Session flat API (SchedulerFunc, HEFT, MinMin, MemHEFT,
-// MemMinMin, MemHEFTInsertion, SchedulerByName, Options, OptimalOptions,
-// Optimal, Simulate) and the parallel Multi* type system have been removed
-// after their deprecation releases; see docs/MIGRATION.md for the one-line
-// replacements on the Session API.
-
 // DualInstance converts a dual-memory graph into a 2-pool instance (pool 0
 // blue, pool 1 red): the instance a plain NewSession schedules.
 func DualInstance(g *Graph) *Instance { return multi.FromDual(g) }

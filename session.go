@@ -67,10 +67,11 @@ func WithPoolTimes(times [][]float64) SessionOption {
 		if len(times) > 0 && len(times[0]) == 0 {
 			return errors.New("memsched: pool-time matrix has no pool columns")
 		}
-		if err := multi.NewInstance(s.g, times).ValidateMatrix(); err != nil {
+		in := multi.NewInstance(s.g, times)
+		if err := in.ValidateMatrix(); err != nil {
 			return err
 		}
-		s.times = times
+		s.times, s.inst = times, in
 		return nil
 	}
 }
@@ -87,9 +88,7 @@ func NewSession(g *Graph, opts ...SessionOption) (*Session, error) {
 			return nil, err
 		}
 	}
-	if s.times != nil {
-		s.inst = multi.NewInstance(g, s.times)
-	} else {
+	if s.inst == nil {
 		s.inst = multi.FromDual(g)
 	}
 	if err := s.caches.Validate(s.inst, s.inst.Width()); err != nil {
