@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/cluster"
 	"repro/serve"
@@ -68,6 +69,24 @@ func TestClusterRequestIDPropagation(t *testing.T) {
 		t.Fatalf("response request id = %q, want %q", res.RequestID, reqID)
 	}
 
+	// Both tiers write their access line after the response is sent, so
+	// the client can hold the response before either line exists: wait
+	// for the router's line and one replica's before checking them.
+	idAttr := `"request_id":"` + reqID + `"`
+	logged := func() bool {
+		if !strings.Contains(routerSink.String(), idAttr) {
+			return false
+		}
+		for _, sink := range sinks {
+			if strings.Contains(sink.String(), idAttr) {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !logged() && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+	}
 	rout := routerSink.String()
 	if !strings.Contains(rout, `"request_id":"`+reqID+`"`) || !strings.Contains(rout, `"msg":"request"`) {
 		t.Fatalf("router access log has no line for %s:\n%s", reqID, rout)
