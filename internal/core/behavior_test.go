@@ -197,7 +197,8 @@ func TestStressLinalgAllHeuristicsValidate(t *testing.T) {
 func buildLinalg(t *testing.T, kind string, n int) *dag.Graph {
 	t.Helper()
 	// A dense layered graph of the factorisations' shape, with
-	// kernel-like weights; the real builders live in internal/linalg.
+	// kernel-like weights; the real LU and Cholesky graphs come from
+	// internal/linalg.
 	g := dag.New()
 	var prev []dag.TaskID
 	for level := 0; level < n*2; level++ {
