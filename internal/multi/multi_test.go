@@ -1,14 +1,21 @@
 package multi
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dag"
+	"repro/internal/platform"
 )
 
 func dualPlatform(pBlue, pRed int, mBlue, mRed int64) Platform {
@@ -132,6 +139,115 @@ func TestMeanRanksMatchDualRanks(t *testing.T) {
 	for i := range mr {
 		if mr[i] != ur[i] {
 			t.Fatalf("rank[%d]: %g vs %g", i, mr[i], ur[i])
+		}
+	}
+}
+
+// dualAnswers reads testdata/dual_engine_answers.txt: run key to digest,
+// or to "fails".
+func dualAnswers(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/dual_engine_answers.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, val, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed line %q", line)
+		}
+		out[key] = val
+	}
+	return out
+}
+
+// placementDigest hashes a schedule the way dual_engine_answers.txt does.
+func placementDigest(s *Schedule) string {
+	h := sha256.New()
+	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	for _, tk := range s.Tasks {
+		put(math.Float64bits(tk.Start))
+		put(uint64(int64(tk.Proc)))
+	}
+	for _, c := range s.CommStart {
+		if math.IsNaN(c) {
+			c = math.NaN()
+		}
+		put(math.Float64bits(c))
+	}
+	return hex.EncodeToString(h.Sum(nil))[:32]
+}
+
+// TestTwoPoolMatchesCore is the key differential test: with two pools the
+// generalised heuristics must reproduce the dual-memory implementation's
+// placements exactly, communication schedules included. That engine is
+// deleted; its answers are recorded in testdata/dual_engine_answers.txt.
+func TestTwoPoolMatchesCore(t *testing.T) {
+	want := dualAnswers(t)
+	runs := 0
+	for seed := int64(1); seed <= 100; seed++ {
+		g := randomDAG(seed, 18)
+		in := FromDual(g)
+		for _, bound := range []int64{30, 60, 1 << 40} {
+			mp := dualPlatform(2, 2, bound, bound)
+			for _, h := range []struct {
+				name string
+				fn   Func
+			}{{"memheft", MemHEFT}, {"memminmin", MemMinMin}} {
+				key := fmt.Sprintf("seed%d/bound%d/%s", seed, bound, h.name)
+				rec, ok := want[key]
+				if !ok {
+					t.Fatalf("%s: no answer of the dual engine recorded", key)
+				}
+				runs++
+				s, err := h.fn(tctx, in, mp, Options{Seed: seed})
+				if err != nil {
+					if rec != "fails" || !errors.Is(err, ErrMemoryBound) {
+						t.Fatalf("%s: k-pool engine failed (%v), dual engine answered %s", key, err, rec)
+					}
+					continue
+				}
+				if got := placementDigest(s); got != rec {
+					t.Fatalf("%s: k-pool engine answered %s, dual engine %s", key, got, rec)
+				}
+				if err := s.Validate(); err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+			}
+		}
+	}
+	if runs != len(want) {
+		t.Fatalf("checked %d runs, the dual engine recorded %d", runs, len(want))
+	}
+}
+
+// TestTwoPoolMatchesCoreViaDualBridge checks the platform bridge:
+// FromDualPlatform lifts blue to pool 0 and red to pool 1, and the engine
+// on the lifted platform reproduces the dual engine's MemHEFT schedule of
+// the paper example, recorded below.
+func TestTwoPoolMatchesCoreViaDualBridge(t *testing.T) {
+	lifted := FromDualPlatform(platform.New(1, 2, 4, 5))
+	if !slices.Equal(lifted.Pools, []Pool{{1, 4}, {2, 5}}) {
+		t.Fatalf("FromDualPlatform lifted (1, 2, 4, 5) to %v", lifted.Pools)
+	}
+	ms, err := MemHEFT(tctx, FromDual(dag.PaperExample()), FromDualPlatform(platform.New(1, 1, 4, 4)), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dual := []Placement{{0, 1}, {1, 1}, {2, 0}, {9, 0}}
+	for i := range dual {
+		if ms.Tasks[i] != dual[i] {
+			t.Fatalf("task %d: dual %+v vs lifted %+v", i, dual[i], ms.Tasks[i])
+		}
+	}
+	dualComm := []float64{math.NaN(), 1, 8, math.NaN()}
+	for e, dc := range dualComm {
+		if mc := ms.CommStart[e]; mc != dc && !(math.IsNaN(dc) && math.IsNaN(mc)) {
+			t.Fatalf("comm %d: dual %g vs lifted %g", e, dc, mc)
 		}
 	}
 }
