@@ -79,19 +79,24 @@
 // The scheduling hot path is incremental (see internal/multi and
 // internal/memfn): a commit perturbs only one processor, the staircases of
 // the touched memory pools and the readiness of the committed task's
-// children, so the engine re-derives only what changed. Each pool carries an epoch counter bumped on every
-// mutation; candidate evaluations are memoized per (task, pool) and reused
-// while the pool's epoch and the task's parents are unchanged — on a k-pool
-// platform a commit typically leaves k-1 pools' candidates cached.
-// Ready-ness is tracked with in-degree counters, the makespan is a running
+// children, so the engine re-derives only what changed. Each pool carries
+// an epoch counter bumped on every mutation; candidate evaluations are
+// memoized per (task, pool) and reused while the pool's epoch and the
+// task's parents are unchanged — on a k-pool platform a commit typically
+// leaves k-1 pools' candidates cached. A ready task's parent aggregates
+// are derived once, for all pools in one walk over its in-edges.
+// Ready-ness is tracked with parent counters, the makespan is a running
 // max, MemMinMin keeps its candidates in an EFT-ordered heap with lazy
 // invalidation, and the free-memory staircases answer earliest-fit queries
 // in O(log l) through a lazily repaired suffix-minimum array, with all
 // reservations of one commit spliced in one batched suffix-local merge pass
-// per touched pool. Sessions own the cross-run memos (priority lists, mean
-// ranks, graph statics, validation), so repeated
-// scheduling of the same graph — memory sweeps, benchmarks, server traffic
-// — pays the ranking phase once per (graph, seed). None of this changes
+// per touched pool. Each bounded staircase keeps only its live window: the
+// pieces before the earliest time a later placement on the pool can query
+// are forgotten, so l is the window's length, not the schedule's history.
+// Sessions own the cross-run memos (priority lists, mean ranks, graph
+// statics, validation), so repeated scheduling of the same graph — memory
+// sweeps, benchmarks, server traffic — pays the ranking phase once per
+// (graph, seed). None of this changes
 // results: the naive implementations are retained as reference oracles
 // (MemHEFTReference / MemMinMinReference in internal/multi) and
 // golden-equivalence tests assert bit-identical schedules, including under

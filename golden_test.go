@@ -129,12 +129,11 @@ func answerDigest(res *Result, err error) string {
 func sessionAnswers(t *testing.T) []string {
 	ctx := context.Background()
 	var lines []string
-	validate := true
 	add := func(name string, res *Result, err error) {
 		if err == nil && res != nil && res.Stats.Makespan != res.Makespan() {
 			t.Fatalf("%s: Stats.Makespan %g, Makespan() %g", name, res.Stats.Makespan, res.Makespan())
 		}
-		if validate && err == nil && res != nil && !math.IsInf(res.Makespan(), 1) {
+		if err == nil && res != nil && !math.IsInf(res.Makespan(), 1) {
 			if verr := res.Validate(); verr != nil {
 				t.Fatalf("%s: %v", name, verr)
 			}
@@ -147,9 +146,6 @@ func sessionAnswers(t *testing.T) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Validate is quadratic in the residencies; the large graph is
-		// checked by its digests alone.
-		validate = gc.g.NumTasks() <= 200
 		for _, procs := range [][2]int{{1, 1}, {2, 2}, {12, 3}} {
 			unbounded := NewDualPlatform(procs[0], procs[1], Unlimited, Unlimited)
 			ref, err := sess.Schedule(ctx, unbounded, WithScheduler("heft"))

@@ -19,6 +19,14 @@
 // up to deg+1 reservations), so ReserveBatch applies a whole set of deltas
 // in a single merge pass over the pieces instead of deg+1 independent
 // breakpoint insertions.
+//
+// Live window. A list scheduler's queries move forward in time, so most of
+// a long schedule's staircase lies where no later query can reach.
+// Forget(t) drops the pieces before the one holding t: values and suffix
+// minima on [t, +inf) are kept, the first kept piece is stretched back to
+// time 0, and every query at or after t, and every EarliestFit clamped to
+// t, answers as on the whole function. The paper's l is then the length of
+// the live window rather than of the schedule's whole history.
 package memfn
 
 import (
@@ -186,6 +194,39 @@ func (s *Staircase) indexAt(t float64) int {
 		}
 	}
 	return lo
+}
+
+// Forget thresholds: a Forget drops its prefix only when the prefix holds
+// at least forgetMin pieces and at least half of the staircase, so the
+// copy that moves the kept pieces to the front costs amortised O(1) per
+// dropped piece.
+const forgetMin = 32
+
+// Forget drops the pieces before the one that holds t and moves the first
+// kept piece's start to 0, when that prefix is at least forgetMin pieces
+// and at least half the staircase; otherwise it does nothing. Afterwards
+// Value, FitsFrom and SlackAt at any time >= t, FinalValue, and
+// max(EarliestFit(lb, need), t) all answer as before, and keep doing so
+// through later Reserve, Release and ReserveBatch calls, including ones
+// that start before t: those only change values on [0, t), which the
+// staircase no longer represents. Times t must not decrease from one
+// Forget to the next, and the caller must not query before its latest t.
+func (s *Staircase) Forget(t float64) {
+	i := s.indexAtFromEnd(max(t, 0))
+	if i < forgetMin || 2*i < len(s.steps) {
+		return
+	}
+	kept := copy(s.steps, s.steps[i:])
+	s.steps = s.steps[:kept]
+	s.steps[0].t = 0
+	// Suffix minima depend only on the suffix, so the kept entries stay
+	// valid; entries from dirtyFrom on were stale before and still are.
+	if len(s.sufmin) > i {
+		s.sufmin = s.sufmin[:copy(s.sufmin, s.sufmin[i:])]
+	} else {
+		s.sufmin = s.sufmin[:0]
+	}
+	s.dirtyFrom = max(s.dirtyFrom-i, 0)
 }
 
 // Reserve subtracts amount from free on [from, to). A negative amount

@@ -9,11 +9,11 @@ import (
 )
 
 // Caches owns the per-instance memoized scheduler inputs: the instance
-// statics consumed by every Partial (output totals, in-degrees, sources),
-// the mean upward ranks, the seeded priority lists of MemHEFT, and the
-// validation results. A memsched.Session creates one Caches per instance,
-// which makes the memos concurrency-safe and contention-free across
-// sessions by construction.
+// statics consumed by every Partial (output totals, in-degrees, the largest
+// communication time), the mean upward ranks, the seeded priority lists of
+// MemHEFT, and the validation results. A memsched.Session creates one
+// Caches per instance, which makes the memos concurrency-safe and
+// contention-free across sessions by construction.
 //
 // All methods tolerate a nil receiver, which simply computes fresh: the
 // reference oracles and one-shot callers pass no cache at all.
@@ -44,7 +44,7 @@ type Caches struct {
 type instanceStatics struct {
 	outFiles []int64
 	inDegree []int
-	sources  []dag.TaskID
+	maxComm  float64 // largest edge Comm: bounds how far back a placement reads a staircase
 
 	graphValidated bool // a successful Graph.Validate ran for this graph
 	matrixWidth    int  // pool count the matrix was validated against; 0 = none
@@ -149,11 +149,9 @@ func computeStaticsCtx(ctx context.Context, in *Instance) (*instanceStatics, err
 		}
 		id := dag.TaskID(i)
 		s.inDegree[i] = len(g.In(id))
-		if s.inDegree[i] == 0 {
-			s.sources = append(s.sources, id)
-		}
 		for _, e := range g.Out(id) {
 			s.outFiles[i] += edges[e].File
+			s.maxComm = max(s.maxComm, edges[e].Comm)
 		}
 	}
 	return s, nil

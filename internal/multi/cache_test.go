@@ -83,19 +83,19 @@ func TestCachesRekeyOnGraphGrowth(t *testing.T) {
 	in := NewInstance(g, [][]float64{{1, 1}, {1, 1}})
 	c := NewCaches()
 	gs := c.staticsOf(in)
-	if len(gs.sources) != 1 {
-		t.Fatalf("sources = %v", gs.sources)
+	if len(gs.inDegree) != 2 || gs.inDegree[b] != 1 || gs.maxComm != 1 {
+		t.Fatalf("statics: in-degrees %v, max comm %g", gs.inDegree, gs.maxComm)
 	}
 	// Grow the graph (and matrix) and expect fresh statics.
 	cTask := g.AddTask("c", 1, 1)
-	g.MustAddEdge(a, cTask, 1, 1)
+	g.MustAddEdge(a, cTask, 1, 3)
 	in.Times = append(in.Times, []float64{1, 1})
 	gs2 := c.staticsOf(in)
 	if gs2 == gs {
 		t.Fatal("statics not rekeyed after graph growth")
 	}
-	if len(gs2.inDegree) != 3 {
-		t.Fatalf("stale statics: %v", gs2.inDegree)
+	if len(gs2.inDegree) != 3 || gs2.maxComm != 3 {
+		t.Fatalf("stale statics: in-degrees %v, max comm %g", gs2.inDegree, gs2.maxComm)
 	}
 }
 

@@ -11,55 +11,62 @@ import (
 
 // The golden-equivalence suite of the engine: the incremental schedulers
 // (epoch-memoized candidates per (task, pool), heap selection, batched
-// staircase splices, intrusive ready tracking, session memos) must produce
-// schedules bit-identical to the retained naive reference implementations
-// on every instance, feasible or not.
+// staircase splices, staircase windows, parent counters, session memos)
+// must produce schedules bit-identical to the retained naive reference
+// implementations on every instance, feasible or not.
 
-// sameSchedule compares two k-pool schedules field by field with exact
-// float equality.
+// sameSchedule compares two k-pool schedules field by field, the times bit
+// for bit (intra-pool comm starts are NaN, which == never matches).
 func sameSchedule(t *testing.T, tag string, got, want *Schedule) {
 	t.Helper()
 	if len(got.Tasks) != len(want.Tasks) {
 		t.Fatalf("%s: %d task placements, want %d", tag, len(got.Tasks), len(want.Tasks))
 	}
-	for i := range want.Tasks {
-		if got.Tasks[i] != want.Tasks[i] {
-			t.Fatalf("%s: task %d placed %+v, reference says %+v", tag, i, got.Tasks[i], want.Tasks[i])
+	for i, w := range want.Tasks {
+		g := got.Tasks[i]
+		if g.Proc != w.Proc || math.Float64bits(g.Start) != math.Float64bits(w.Start) {
+			t.Fatalf("%s: task %d placed %+v, reference says %+v", tag, i, g, w)
 		}
 	}
 	if len(got.CommStart) != len(want.CommStart) {
 		t.Fatalf("%s: %d comm starts, want %d", tag, len(got.CommStart), len(want.CommStart))
 	}
-	for i := range want.CommStart {
-		g, w := got.CommStart[i], want.CommStart[i]
-		if g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
-			t.Fatalf("%s: comm %d starts at %g, reference says %g", tag, i, g, w)
+	for i, w := range want.CommStart {
+		if g := got.CommStart[i]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: comm %d starts at %g (bits %x), reference says %g (bits %x)",
+				tag, i, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
 }
 
+// sameOutcome requires two runs to fail at the memory bound with the same
+// error text, or to succeed with bit-identical schedules.
+func sameOutcome(t *testing.T, tag string, got *Schedule, gotErr error, want *Schedule, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: optimized err=%v, reference err=%v", tag, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		if !errors.Is(gotErr, ErrMemoryBound) || !errors.Is(wantErr, ErrMemoryBound) {
+			t.Fatalf("%s: unexpected error kind: optimized %v, reference %v", tag, gotErr, wantErr)
+		}
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: error text diverged:\noptimized: %v\nreference: %v", tag, gotErr, wantErr)
+		}
+		return
+	}
+	sameSchedule(t, tag, got, want)
+}
+
 // checkPairCached runs an optimized scheduler under a caller-owned cache
 // set and its reference on the same instance and requires identical
-// outcomes: same error classification and text and, when both succeed,
-// identical schedules.
+// outcomes (sameOutcome). It reports whether both failed.
 func checkPairCached(t *testing.T, tag string, opt, ref Func, in *Instance, p Platform, seed int64, caches *Caches) (failed bool) {
 	t.Helper()
 	so, eo := opt(tctx, in, p, Options{Seed: seed, Caches: caches})
 	sr, er := ref(tctx, in, p, Options{Seed: seed})
-	if (eo == nil) != (er == nil) {
-		t.Fatalf("%s: optimized err=%v, reference err=%v", tag, eo, er)
-	}
-	if eo != nil {
-		if !errors.Is(eo, ErrMemoryBound) || !errors.Is(er, ErrMemoryBound) {
-			t.Fatalf("%s: unexpected error kind: optimized %v, reference %v", tag, eo, er)
-		}
-		if eo.Error() != er.Error() {
-			t.Fatalf("%s: error text diverged:\noptimized: %v\nreference: %v", tag, eo, er)
-		}
-		return true
-	}
-	sameSchedule(t, tag, so, sr)
-	return false
+	sameOutcome(t, tag, so, eo, sr, er)
+	return eo != nil
 }
 
 // randomInstance builds a seeded random DAG with a k-column timing matrix.

@@ -1,6 +1,7 @@
 package multi
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dag"
@@ -93,9 +94,22 @@ func TestGoldenEquivalenceInsertionPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remaining, err := PriorityList(nil, in, 3)
+	st, err := insertionReference(in, p, 3)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reference insertion run: %v", err)
+	}
+	sameSchedule(t, "insertion", got, st.Schedule())
+}
+
+// insertionReference runs MemHEFT under the insertion policy without the
+// candidate memo: readiness by scanning parents, every evaluation computed
+// afresh. It returns the Partial it drove, whose staircases show what the
+// insertion policy kept.
+func insertionReference(in *Instance, p Platform, seed int64) (*Partial, error) {
+	g := in.G
+	remaining, err := PriorityList(nil, in, seed)
+	if err != nil {
+		return nil, err
 	}
 	st := NewPartial(in, p)
 	st.ins = newInsertionState(p.TotalProcs())
@@ -131,8 +145,9 @@ func TestGoldenEquivalenceInsertionPolicy(t *testing.T) {
 			break
 		}
 		if !placed {
-			t.Fatal("reference insertion run stuck")
+			return st, fmt.Errorf("%w (MemHEFT: %d of %d tasks unscheduled, first stuck task %d)",
+				ErrMemoryBound, len(remaining), g.NumTasks(), remaining[0])
 		}
 	}
-	sameSchedule(t, "insertion", got, st.Schedule())
+	return st, nil
 }

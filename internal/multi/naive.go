@@ -252,3 +252,20 @@ func MemMinMinReference(_ context.Context, in *Instance, p Platform, opt Options
 	}
 	return st.sched, nil
 }
+
+// insertSorted inserts id into the ID-sorted slice.
+func insertSorted(s []dag.TaskID, id dag.TaskID) []dag.TaskID {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if s[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	s = append(s, 0)
+	copy(s[lo+1:], s[lo:])
+	s[lo] = id
+	return s
+}

@@ -17,8 +17,10 @@ import (
 // semantics. A Commit perturbs very little of the state, so Partial keeps
 // just enough bookkeeping to re-derive only what changed:
 //
-//   - ready-ness is tracked intrusively with per-task uncommitted-parent
-//     counters and an ID-sorted ready list (Ready is O(1));
+//   - ready-ness is tracked with per-task uncommitted-parent counters
+//     (Ready is O(1)); no ready list is maintained, and ReadyTasks scans the
+//     counters on demand (MemMinMin calls it once per run, internal/exact
+//     once per search node);
 //   - the makespan is a running max updated on Commit;
 //   - each pool carries an epoch counter, bumped whenever its staircase or
 //     one of its processors mutates. Evaluate memoizes its result per
@@ -26,13 +28,19 @@ import (
 //     parent set are unchanged — after a commit on one pool, the other
 //     k-1 pools' candidates are typically served from cache;
 //   - the precedence aggregates of a ready task (precedence_EST, cross file
-//     volume, C(mu,i)) depend only on its committed parents, so they are
-//     computed once per (task, pool) and invalidated by parent commits only;
+//     volume, C(mu,i)) depend only on its committed parents, so one walk
+//     over its in-edges computes them for all k pools at once, and only a
+//     parent commit invalidates them;
 //   - blocked candidates short-circuit through an O(1) final-free-value
 //     check instead of two staircase queries;
 //   - the staircase updates of one Commit are spliced with one batched
 //     memfn.ReserveBatch per touched pool (the task's pool gets at most
 //     three coalesced deltas; each source pool of a cross input gets one);
+//   - each bounded pool's staircase keeps only its live window: after a
+//     commit on pool k it forgets the pieces before a cut c that no later
+//     query on k reaches (see forget). On [c, +inf) the window equals the
+//     whole staircase, and c never decreases, so every query answers as on
+//     the whole history while costing O(log l) in the window's length l;
 //   - pools with capacity >= platform.Unlimited skip staircase maintenance
 //     entirely, turning the memory-oblivious HEFT/MinMin variants into pure
 //     list schedulers.
@@ -58,7 +66,7 @@ type Partial struct {
 	nDone     int
 
 	pending    []int        // per task: number of uncommitted parents
-	ready      []dag.TaskID // ID-sorted list of ready tasks
+	readyBuf   []dag.TaskID // ReadyTasks' result buffer
 	newlyReady []dag.TaskID // tasks turned ready by the last Commit
 	makespan   float64      // running max of committed finish times
 
@@ -67,6 +75,7 @@ type Partial struct {
 	parentStamp []uint64   // per task: commitSeq of the last parent commit
 	slots       []evalSlot // per (task, pool): memoized evaluation state
 	outFiles    []int64    // per task: total output file size (immutable)
+	maxComm     float64    // largest edge Comm of the instance (immutable)
 	unbounded   []bool     // per pool: capacity never constrains
 
 	batch     []memfn.Delta // Commit scratch, reused
@@ -86,8 +95,8 @@ type Partial struct {
 // evalSlot is the memoized evaluation state of one (task, pool) pair. The
 // candidate part (cand) is valid while the pool's epoch and the task's
 // parent stamp still match. The static part (precEST/cross/cmu) is fixed
-// once a task is ready, so it is computed once per readiness and invalidated
-// by parent commits only.
+// once a task is ready, so it is computed once per readiness, for all of
+// the task's pools together, and invalidated by parent commits only.
 type evalSlot struct {
 	cand  Candidate
 	epoch uint64
@@ -189,7 +198,6 @@ func (st *Partial) reset(in *Instance, p Platform, gs *instanceStatics) {
 	st.nDone = 0
 
 	st.pending = append(st.pending[:0], gs.inDegree...)
-	st.ready = append(st.ready[:0], gs.sources...)
 	st.newlyReady = st.newlyReady[:0]
 	st.makespan = 0
 
@@ -203,6 +211,7 @@ func (st *Partial) reset(in *Instance, p Platform, gs *instanceStatics) {
 		clear(st.slots)
 	}
 	st.outFiles = gs.outFiles
+	st.maxComm = gs.maxComm
 	st.crossAmt = resize(st.crossAmt, k)
 	st.poolTasks = resize(st.poolTasks, k)
 	st.hits, st.misses = 0, 0
@@ -252,7 +261,6 @@ func (st *Partial) CloneInto(dst *Partial) *Partial {
 	dst.taskPool = append(dst.taskPool[:0], st.taskPool...)
 	dst.nDone = st.nDone
 	dst.pending = append(dst.pending[:0], st.pending...)
-	dst.ready = append(dst.ready[:0], st.ready...)
 	dst.newlyReady = dst.newlyReady[:0]
 	dst.makespan = st.makespan
 	dst.commitSeq = st.commitSeq
@@ -260,6 +268,7 @@ func (st *Partial) CloneInto(dst *Partial) *Partial {
 	dst.parentStamp = append(dst.parentStamp[:0], st.parentStamp...)
 	dst.slots = append(dst.slots[:0], st.slots...)
 	dst.outFiles = st.outFiles // immutable, shared
+	dst.maxComm = st.maxComm
 	dst.unbounded = append(dst.unbounded[:0], st.unbounded...)
 	dst.crossAmt = resize(dst.crossAmt, st.k)
 	dst.poolTasks = append(dst.poolTasks[:0], st.poolTasks...)
@@ -311,46 +320,73 @@ func (st *Partial) Ready(id dag.TaskID) bool {
 	return !st.assigned[id] && st.pending[id] == 0
 }
 
-// ReadyTasks returns all ready tasks in ID order. The returned slice is the
-// maintained internal list: it must not be modified and is only valid until
-// the next Commit.
-func (st *Partial) ReadyTasks() []dag.TaskID { return st.ready }
+// ReadyTasks returns all ready tasks in ID order, found by one scan of the
+// parent counters. The returned slice is a buffer the next ReadyTasks call
+// on the same Partial overwrites: it must not be modified or held across
+// that call.
+func (st *Partial) ReadyTasks() []dag.TaskID {
+	out := st.readyBuf[:0]
+	for i, p := range st.pending {
+		if p == 0 && !st.assigned[i] {
+			out = append(out, dag.TaskID(i))
+		}
+	}
+	st.readyBuf = out
+	return out
+}
 
 // NewlyReady returns the tasks whose last uncommitted parent was the most
-// recently committed task, in edge order. Like ReadyTasks, the slice is
-// internal and valid until the next Commit.
+// recently committed task, in edge order. The slice is internal and valid
+// until the next Commit.
 func (st *Partial) NewlyReady() []dag.TaskID { return st.newlyReady }
 
 // staticFor returns the parent-derived aggregates of a ready task on pool
 // k: precedence_EST, the total size of input files not yet on the pool, and
 // the conservative communication duration C(mu,i). For a ready task these
 // are fixed (all parents committed), so they are memoized per (task, pool)
-// keyed by the task's parent stamp.
+// keyed by the task's parent stamp, and a miss fills every pool's slot of
+// the task at once (fillStatics).
 func (st *Partial) staticFor(id dag.TaskID, k int) (precEST float64, cross int64, cmu float64) {
-	sp := &st.slots[int(id)*st.k+k]
-	if sp.sok && sp.sstamp == st.parentStamp[id] {
-		return sp.precEST, sp.cross, sp.cmu
+	base := int(id) * st.k
+	sp := &st.slots[base+k]
+	if stamp := st.parentStamp[id]; !sp.sok || sp.sstamp != stamp {
+		st.fillStatics(id, st.slots[base:base+st.k], stamp)
+	}
+	return sp.precEST, sp.cross, sp.cmu
+}
+
+// fillStatics computes the static part of every pool's slot of task id in
+// one walk over its in-edges. Each pool folds the edges in the same order,
+// with the same comparisons, as a walk of its own would, so its values are
+// bit-identical to a per-pool derivation.
+func (st *Partial) fillStatics(id dag.TaskID, slots []evalSlot, stamp uint64) {
+	for j := range slots {
+		sp := &slots[j]
+		sp.precEST, sp.cross, sp.cmu = 0, 0, 0
+		sp.sstamp, sp.sok = stamp, true
 	}
 	for _, e := range st.g.In(id) {
 		edge := &st.edges[e]
 		aft := st.finish[edge.From]
-		if int(st.taskPool[edge.From]) == k {
-			if aft > precEST {
-				precEST = aft
+		viaComm := aft + edge.Comm
+		src := int(st.taskPool[edge.From])
+		for j := range slots {
+			sp := &slots[j]
+			if j == src {
+				if aft > sp.precEST {
+					sp.precEST = aft
+				}
+				continue
 			}
-			continue
-		}
-		if v := aft + edge.Comm; v > precEST {
-			precEST = v
-		}
-		cross += edge.File
-		if edge.Comm > cmu {
-			cmu = edge.Comm
+			if viaComm > sp.precEST {
+				sp.precEST = viaComm
+			}
+			sp.cross += edge.File
+			if edge.Comm > sp.cmu {
+				sp.cmu = edge.Comm
+			}
 		}
 	}
-	sp.precEST, sp.cross, sp.cmu = precEST, cross, cmu
-	sp.sstamp, sp.sok = st.parentStamp[id], true
-	return precEST, cross, cmu
 }
 
 // slotFresh reports whether a memoized candidate slot is still valid:
@@ -417,17 +453,10 @@ func (st *Partial) evaluate(id dag.TaskID, k int) Candidate {
 	}
 	c := Candidate{Task: id, Pool: k, EST: inf, EFT: inf}
 
-	// resource_EST: earliest availability among the pool's processors.
-	lo, hi := st.procLo[k], st.procHi[k]
-	if lo == hi {
+	if st.procLo[k] == st.procHi[k] {
 		return c // no processor on this pool
 	}
-	resourceEST := inf
-	for proc := lo; proc < hi; proc++ {
-		if st.availProc[proc] < resourceEST {
-			resourceEST = st.availProc[proc]
-		}
-	}
+	resourceEST := st.earliestAvail(k)
 
 	// precedence_EST and the cross-input aggregates.
 	precedenceEST, crossFiles, cmu := st.staticFor(id, k)
@@ -467,6 +496,18 @@ func (st *Partial) evaluate(id dag.TaskID, k int) Candidate {
 	return c
 }
 
+// earliestAvail returns the earliest availability among pool k's
+// processors: resource_EST under the append policy.
+func (st *Partial) earliestAvail(k int) float64 {
+	t := inf
+	for proc := st.procLo[k]; proc < st.procHi[k]; proc++ {
+		if st.availProc[proc] < t {
+			t = st.availProc[proc]
+		}
+	}
+	return t
+}
+
 // Best returns the minimum-EFT candidate of a ready task over all pools
 // (lowest pool index wins ties, so the paper's blue memory, pool 0, wins in
 // the 2-pool case). The returned candidate may be infeasible on every pool
@@ -482,7 +523,7 @@ func (st *Partial) Best(id dag.TaskID) Candidate {
 }
 
 // finishTask records the completion bookkeeping of one commit: assignment,
-// running makespan, ready tracking and parent stamps.
+// running makespan, parent counters and parent stamps.
 func (st *Partial) finishTask(id dag.TaskID, fin float64) {
 	st.assigned[id] = true
 	st.finish[id] = fin
@@ -491,51 +532,15 @@ func (st *Partial) finishTask(id dag.TaskID, fin float64) {
 		st.makespan = fin
 	}
 	st.commitSeq++
-	st.removeReady(id)
 	st.newlyReady = st.newlyReady[:0]
 	for _, e := range st.g.Out(id) {
 		child := st.edges[e].To
 		st.parentStamp[child] = st.commitSeq
 		st.pending[child]--
 		if st.pending[child] == 0 {
-			st.ready = insertSorted(st.ready, child)
 			st.newlyReady = append(st.newlyReady, child)
 		}
 	}
-}
-
-// removeReady deletes id from the sorted ready list (no-op if absent).
-func (st *Partial) removeReady(id dag.TaskID) {
-	lo, hi := 0, len(st.ready)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if st.ready[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(st.ready) && st.ready[lo] == id {
-		copy(st.ready[lo:], st.ready[lo+1:])
-		st.ready = st.ready[:len(st.ready)-1]
-	}
-}
-
-// insertSorted inserts id into the ID-sorted slice.
-func insertSorted(s []dag.TaskID, id dag.TaskID) []dag.TaskID {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s = append(s, 0)
-	copy(s[lo+1:], s[lo:])
-	s[lo] = id
-	return s
 }
 
 // commitFiles applies all staircase updates of one commit: one batched
@@ -632,4 +637,41 @@ func (st *Partial) Commit(c Candidate) {
 	st.poolTasks[k]++
 	st.finishTask(id, fin)
 	st.commitFiles(id, k, start, fin, c.CMu)
+	if !st.unbounded[k] {
+		st.forget(k)
+	}
+}
+
+// forget cuts pool k's staircase down to its live window after an
+// append-policy commit on k. Let T be the earliest availability among k's
+// processors and Cmax the instance's largest edge Comm. T never decreases:
+// a commit starts at EST >= resource_EST = T and leaves its processor free
+// at EST + w >= EST. Every later use of k's staircase is therefore at or
+// after fl(T - Cmax):
+//
+//   - evaluate's task fit only matters above resource_EST >= T, and its
+//     comm fit only where fit + C(mu,i) > resource_EST, with C(mu,i) <= Cmax;
+//   - replayVerify and recordStep query at EST and at EST - C(mu,i);
+//   - commitFiles reserves on k from start, fin and start - C(mu,i).
+//
+// The one reservation that can land below a pool's cut, a cross input's
+// release on its source pool at the consumer's start, only changes the
+// forgotten region. The cut c is the largest float with c <= fl(T - Cmax)
+// and fl(c + Cmax) <= T. A fit that lies at or before c may come back as
+// any time up to c from the window, but then both it and the true fit give
+// fl(fit + C(mu,i)) <= fl(c + Cmax) <= T, where resource_EST already
+// dominates, and every fit after c comes back unchanged. Plain T - Cmax
+// can round so that adding Cmax back exceeds T, so c steps down with
+// math.Nextafter until it does not. A cut at or below 0 forgets nothing.
+// The insertion policy never comes here: it can start a task in an idle
+// gap before T.
+func (st *Partial) forget(k int) {
+	t := st.earliestAvail(k)
+	c := t - st.maxComm
+	for c > 0 && c+st.maxComm > t {
+		c = math.Nextafter(c, 0)
+	}
+	if c > 0 {
+		st.free[k].Forget(c)
+	}
 }

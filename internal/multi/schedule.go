@@ -1,8 +1,10 @@
 package multi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dag"
@@ -181,21 +183,46 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
-	// Memory is checked where schedule.Peaks evaluates it: at the start of
-	// every residency with from <= to.
-	rs := s.residencies()
-	for _, r := range rs {
-		if !(r.from <= r.to) {
-			continue
+	return s.checkMemory(s.residencies())
+}
+
+// checkMemory checks every pool's usage where schedule.Peaks evaluates it,
+// at the start of every residency with from <= to, and reports the first
+// such residency, in rs order, whose pool is over capacity. The usage at t
+// is the size of the residencies Live at t. Only residencies with
+// from <= to are ever live, and for those Live(from, to, t) holds iff
+// from <= t+Eps and not to <= t+Eps, so the usage is the size acquired by
+// t+Eps minus the size released by then. One sweep per pool, over its
+// residencies sorted by start and by end, evaluates that at every start.
+func (s *Schedule) checkMemory(rs []residency) error {
+	byPool := make([][]int, s.Platform.NumPools())
+	for i, r := range rs {
+		if r.from <= r.to {
+			byPool[r.pool] = append(byPool[r.pool], i)
 		}
-		var usage int64
-		for _, o := range rs {
-			if o.pool == r.pool && schedule.Live(o.from, o.to, r.from) {
-				usage += o.size
+	}
+	usage := make([]int64, len(rs))
+	var byEnd []int
+	for _, idx := range byPool {
+		slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(rs[a].from, rs[b].from) })
+		byEnd = append(byEnd[:0], idx...)
+		slices.SortFunc(byEnd, func(a, b int) int { return cmp.Compare(rs[a].to, rs[b].to) })
+		var live int64
+		acq, rel := 0, 0
+		for _, i := range idx {
+			x := rs[i].from + Eps
+			for ; acq < len(idx) && rs[idx[acq]].from <= x; acq++ {
+				live += rs[idx[acq]].size
 			}
+			for ; rel < len(byEnd) && rs[byEnd[rel]].to <= x; rel++ {
+				live -= rs[byEnd[rel]].size
+			}
+			usage[i] = live
 		}
-		if usage > p.Pools[r.pool].Capacity {
-			return fmt.Errorf("multi: pool %d over capacity at t=%g: %d > %d", r.pool, r.from, usage, p.Pools[r.pool].Capacity)
+	}
+	for i, r := range rs {
+		if r.from <= r.to && usage[i] > s.Platform.Pools[r.pool].Capacity {
+			return fmt.Errorf("multi: pool %d over capacity at t=%g: %d > %d", r.pool, r.from, usage[i], s.Platform.Pools[r.pool].Capacity)
 		}
 	}
 	return nil

@@ -456,8 +456,11 @@ func TestShutdownDrainMarksSweepStream(t *testing.T) {
 			Pools:      []serve.PoolSpec{{Procs: 2}, {Procs: 2}},
 			Alphas:     sweepAlphas(16),
 			Schedulers: []string{"memminmin", "memheft"},
-			Seeds:      []int64{1, 2},
-			Workers:    1, // sequential: the stream reliably outlives the drain budget
+			// 128 points, run one after another: the stream's tail after
+			// its first point (~2 s on a 2-vCPU VM) outlives the 1 s
+			// drain budget with room to spare.
+			Seeds:   []int64{1, 2, 3, 4},
+			Workers: 1,
 		}, func(serve.SweepPoint) error {
 			once.Do(func() { close(firstPoint) })
 			return nil
