@@ -8,7 +8,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/linalg"
 	"repro/internal/multi"
-	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -43,7 +42,7 @@ type (
 )
 
 // Unlimited is a memory capacity that never constrains a schedule.
-const Unlimited = platform.Unlimited
+const Unlimited = dag.Unlimited
 
 // NewGraph returns an empty task graph.
 func NewGraph() *Graph { return dag.New() }
@@ -65,7 +64,7 @@ func NewPlatform(pools ...Pool) Platform { return multi.NewPlatform(pools...) }
 // case: pBlue processors sharing a blue memory of capacity mBlue (pool 0)
 // and pRed processors sharing a red memory of capacity mRed (pool 1).
 func NewDualPlatform(pBlue, pRed int, mBlue, mRed int64) Platform {
-	return NewPlatform(Pool{Procs: pBlue, Capacity: mBlue}, Pool{Procs: pRed, Capacity: mRed})
+	return multi.DualPlatform(pBlue, pRed, mBlue, mRed)
 }
 
 // NewInstance couples a graph (structure, files, communication times) with

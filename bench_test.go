@@ -26,7 +26,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/memfn"
 	"repro/internal/multi"
-	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/serve"
 	"repro/sweep"
@@ -126,10 +125,9 @@ func benchScheduler(b *testing.B, scheduler string, size int, alpha float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pp := multi.FromDualPlatform(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sess.Schedule(tctx, pp, memsched.WithScheduler(scheduler), memsched.WithSeed(7)); err != nil {
+		if _, err := sess.Schedule(tctx, p, memsched.WithScheduler(scheduler), memsched.WithSeed(7)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,10 +137,10 @@ func benchScheduler(b *testing.B, scheduler string, size int, alpha float64) {
 // the dual fixture.
 func benchReference(b *testing.B, fn multi.Func, size int, alpha float64) {
 	g, p := dualBenchFixture(b, size, alpha)
-	in, pp := multi.FromDual(g), multi.FromDualPlatform(p)
+	in := multi.FromDual(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fn(tctx, in, pp, multi.Options{Seed: 7}); err != nil {
+		if _, err := fn(tctx, in, p, multi.Options{Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,13 +148,13 @@ func benchReference(b *testing.B, fn multi.Func, size int, alpha float64) {
 
 // dualRun runs one heuristic on the 2-pool instance of g (pool 0 blue,
 // pool 1 red): the engine and instance a plain Session drives.
-func dualRun(fn multi.Func, g *dag.Graph, p platform.Platform, seed int64) (*multi.Schedule, error) {
-	return fn(tctx, multi.FromDual(g), multi.FromDualPlatform(p), multi.Options{Seed: seed})
+func dualRun(fn multi.Func, g *dag.Graph, p memsched.Platform, seed int64) (*multi.Schedule, error) {
+	return fn(tctx, multi.FromDual(g), p, multi.Options{Seed: seed})
 }
 
 // dualBenchFixture returns the daggen graph of the given size on the random
 // platform, both memories bounded at alpha times the HEFT peak.
-func dualBenchFixture(b *testing.B, size int, alpha float64) (*dag.Graph, platform.Platform) {
+func dualBenchFixture(b *testing.B, size int, alpha float64) (*dag.Graph, memsched.Platform) {
 	params := daggen.LargeParams()
 	params.Size = size
 	g, err := daggen.Generate(params, 7)
@@ -169,7 +167,7 @@ func dualBenchFixture(b *testing.B, size int, alpha float64) (*dag.Graph, platfo
 		b.Fatal(err)
 	}
 	bound := int64(alpha * float64(peak))
-	return g, p.WithBounds(bound, bound)
+	return g, p.WithUniformBounds(bound)
 }
 
 // BenchmarkMemHEFT300 measures MemHEFT on a 300-task DAG at half the HEFT
@@ -494,7 +492,7 @@ func BenchmarkAblationBroadcastPipeline(b *testing.B) {
 			// 32 tiles per memory: the pipelined graph schedules,
 			// the direct fan-out does not (its getrf/trsm outputs
 			// materialise all copies at once).
-			p := experiments.MiragePlatform().WithBounds(32, 32)
+			p := experiments.MiragePlatform().WithUniformBounds(32)
 			b.ResetTimer()
 			fails := 0
 			for i := 0; i < b.N; i++ {
@@ -515,7 +513,7 @@ func BenchmarkAblationTieBreak(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := experiments.RandomPlatform().WithBounds(platform.Unlimited, platform.Unlimited)
+	p := experiments.RandomPlatform().Unbounded()
 	b.Run("fixed-seed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := dualRun(multi.MemHEFT, g, p, 1); err != nil {
@@ -563,9 +561,9 @@ func BenchmarkAblationStaircase(b *testing.B) {
 // on the paper's toy instance at the memory bound where the optimum shifts.
 func BenchmarkExactSearchPaperExample(b *testing.B) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 4, 4)
+	p := memsched.NewDualPlatform(1, 1, 4, 4)
 	for i := 0; i < b.N; i++ {
-		res, err := exact.Solve(tctx, multi.FromDual(g), multi.FromDualPlatform(p), exact.Options{})
+		res, err := exact.Solve(tctx, multi.FromDual(g), p, exact.Options{})
 		if err != nil || res.Makespan != 7 {
 			b.Fatalf("res=%+v err=%v", res, err)
 		}
@@ -576,9 +574,9 @@ func BenchmarkExactSearchPaperExample(b *testing.B) {
 // example (the solve itself is exercised by the ilp tests).
 func BenchmarkILPBuild(b *testing.B) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 5, 5)
+	in, p := multi.FromDual(g), memsched.NewDualPlatform(1, 1, 5, 5)
 	for i := 0; i < b.N; i++ {
-		if _, err := ilp.Build(g, p); err != nil {
+		if _, err := ilp.Build(in, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -594,7 +592,7 @@ func BenchmarkAblationInsertion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := experiments.RandomPlatform().WithBounds(platform.Unlimited, platform.Unlimited)
+	p := experiments.RandomPlatform().Unbounded()
 	ref, err := dualRun(multi.MemHEFT, g, p, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -627,7 +625,7 @@ func BenchmarkAblationOnlineVsStatic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := experiments.MiragePlatform().WithBounds(120, 120)
+	p := experiments.MiragePlatform().WithUniformBounds(120)
 	static, err := dualRun(multi.MemMinMin, g, p, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -642,7 +640,7 @@ func BenchmarkAblationOnlineVsStatic(b *testing.B) {
 	b.Run("online-eft", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), sim.Options{Policy: sim.EFTPolicy})
+			res, err := sim.Run(tctx, multi.FromDual(g), p, sim.Options{Policy: sim.EFTPolicy})
 			if err != nil {
 				b.Fatal(err)
 			}

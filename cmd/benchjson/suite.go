@@ -232,7 +232,7 @@ func dualFixture(c Case) (*memsched.Session, memsched.Platform, error) {
 	if err != nil {
 		return nil, memsched.Platform{}, err
 	}
-	return sess, multi.FromDualPlatform(p.WithBounds(bound, bound)), nil
+	return sess, p.WithUniformBounds(bound), nil
 }
 
 // runMulti measures the generalised k-pool engine (or its eager reference

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dag"
-	"repro/internal/platform"
+	"repro/internal/multi"
 )
 
 // TestMemHEFTSkipsBlockedHighPriorityTask verifies the index-scan of
@@ -31,7 +31,7 @@ func TestMemHEFTSkipsBlockedHighPriorityTask(t *testing.T) {
 	}
 
 	// Memory 4: big (needs 8) never fits, small (needs 2) does.
-	p := platform.New(1, 1, 4, 4)
+	p := multi.DualPlatform(1, 1, 4, 4)
 	s, err := MemHEFT(tctx, g, p, Options{Seed: 1})
 	if err == nil {
 		t.Fatal("expected failure: big can never fit")
@@ -58,7 +58,7 @@ func TestMemHEFTListScanOrder(t *testing.T) {
 	bChild := g.AddTask("bchild", 1, 1)
 	g.MustAddEdge(b, bChild, 1, 1)
 
-	p := platform.New(2, 2, 6, 6)
+	p := multi.DualPlatform(2, 2, 6, 6)
 	s, err := MemHEFT(tctx, g, p, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestMemHEFTListScanOrder(t *testing.T) {
 
 func TestSameSeedIsDeterministic(t *testing.T) {
 	g := randomDAG(99, 24)
-	p := platform.New(2, 2, 120, 120)
+	p := multi.DualPlatform(2, 2, 120, 120)
 	for name, fn := range Algorithms {
 		s1, err1 := fn(tctx, g, p, Options{Seed: 5})
 		s2, err2 := fn(tctx, g, p, Options{Seed: 5})
@@ -96,7 +96,7 @@ func TestCommunicationsAreALAP(t *testing.T) {
 	// Every cross edge's communication must end exactly at the consumer's
 	// start (as-late-as-possible placement).
 	g := randomDAG(7, 20)
-	p := platform.New(1, 1, platform.Unlimited, platform.Unlimited)
+	p := multi.DualPlatform(1, 1, dag.Unlimited, dag.Unlimited)
 	s, err := MemHEFT(tctx, g, p, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestCommunicationsAreALAP(t *testing.T) {
 
 func TestPartialCloneIsDeepEnough(t *testing.T) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 10, 10)
+	p := multi.DualPlatform(1, 1, 10, 10)
 	st := NewPartial(g, p)
 	c1 := st.Evaluate(0, red)
 	if !c1.Feasible() {
@@ -142,7 +142,7 @@ func TestPartialCloneIsDeepEnough(t *testing.T) {
 
 func TestPartialReadyTasksEvolution(t *testing.T) {
 	g := dag.PaperExample()
-	st := NewPartial(g, platform.New(1, 1, 100, 100))
+	st := NewPartial(g, multi.DualPlatform(1, 1, 100, 100))
 	r := st.ReadyTasks()
 	if len(r) != 1 || r[0] != 0 {
 		t.Fatalf("initial ready = %v", r)
@@ -167,7 +167,7 @@ func TestStressLinalgAllHeuristicsValidate(t *testing.T) {
 	for _, n := range []int{3, 5} {
 		for _, build := range []string{"lu", "cholesky"} {
 			g := buildLinalg(t, build, n)
-			unb := platform.New(3, 2, platform.Unlimited, platform.Unlimited)
+			unb := multi.DualPlatform(3, 2, dag.Unlimited, dag.Unlimited)
 			ref, err := HEFT(tctx, g, unb, Options{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +179,7 @@ func TestStressLinalgAllHeuristicsValidate(t *testing.T) {
 			}
 			for _, frac := range []int64{10, 7, 5, 3} {
 				bound := peak * frac / 10
-				p := platform.New(3, 2, bound, bound)
+				p := multi.DualPlatform(3, 2, bound, bound)
 				for name, fn := range Algorithms {
 					s, err := fn(tctx, g, p, Options{Seed: 2})
 					if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/multi"
-	"repro/internal/platform"
 )
 
 // buildChain returns a fresh 3-task chain graph.
@@ -109,7 +108,7 @@ func TestCachesStaticsInvalidation(t *testing.T) {
 	g := buildChain(false)
 	c := multi.NewCaches()
 	// Capacity 2 holds task 0's outputs (2) exactly, but not 3.
-	p := multi.FromDualPlatform(platform.New(1, 1, 2, 2))
+	p := multi.DualPlatform(1, 1, 2, 2)
 	st := multi.NewPartialCached(instanceOf(g), p, c)
 	if got := len(st.ReadyTasks()); got != 1 {
 		t.Fatalf("chain has %d sources, want 1", got)
@@ -162,7 +161,7 @@ func TestNilCachesComputeFresh(t *testing.T) {
 	if err := c.Validate(instanceOf(g), 2); err != nil {
 		t.Fatal(err)
 	}
-	if multi.NewPartialCached(instanceOf(g), multi.FromDualPlatform(platform.New(1, 1, 10, 10)), nil) == nil {
+	if multi.NewPartialCached(instanceOf(g), multi.DualPlatform(1, 1, 10, 10), nil) == nil {
 		t.Fatal("nil-cache NewPartialCached failed")
 	}
 }
@@ -177,7 +176,7 @@ func TestCachesConcurrentSameGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := multi.FromDualPlatform(platform.New(2, 1, 50, 50))
+	p := multi.DualPlatform(2, 1, 50, 50)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {

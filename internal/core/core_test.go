@@ -10,10 +10,9 @@ import (
 	memsched "repro"
 	"repro/internal/dag"
 	"repro/internal/multi"
-	"repro/internal/platform"
 )
 
-func mustSchedule(t *testing.T, f Func, g *dag.Graph, p platform.Platform, seed int64) *multi.Schedule {
+func mustSchedule(t *testing.T, f Func, g *dag.Graph, p multi.Platform, seed int64) *multi.Schedule {
 	t.Helper()
 	s, err := f(tctx, g, p, Options{Seed: seed})
 	if err != nil {
@@ -67,7 +66,7 @@ func TestPriorityListTieBreakDependsOnSeed(t *testing.T) {
 
 func TestHEFTOnPaperExample(t *testing.T) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 1, 1) // bounds ignored by HEFT
+	p := multi.DualPlatform(1, 1, 1, 1) // bounds ignored by HEFT
 	s := mustSchedule(t, HEFT, g, p, 1)
 	// HEFT trace: T1 -> red (EFT 1 vs 3). T3 -> red (EFT 1+3=4 vs
 	// blue 1+1+6=8). T2 -> blue (EFT 2+2=4 vs red 4+2=6). T4: blue
@@ -80,7 +79,7 @@ func TestHEFTOnPaperExample(t *testing.T) {
 
 func TestMinMinOnPaperExample(t *testing.T) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 1, 1)
+	p := multi.DualPlatform(1, 1, 1, 1)
 	s := mustSchedule(t, MinMin, g, p, 1)
 	if ms := s.Makespan(); ms > 7 {
 		t.Fatalf("MinMin makespan = %g, want <= 7", ms)
@@ -90,7 +89,7 @@ func TestMinMinOnPaperExample(t *testing.T) {
 func TestMemHEFTRespectsMemoryBounds(t *testing.T) {
 	g := dag.PaperExample()
 	for _, m := range []int64{4, 5, 6, 10} {
-		p := platform.New(1, 1, m, m)
+		p := multi.DualPlatform(1, 1, m, m)
 		s, err := MemHEFT(tctx, g, p, Options{})
 		if err != nil {
 			continue // infeasible for the heuristic: acceptable here
@@ -108,7 +107,7 @@ func TestMemHEFTRespectsMemoryBounds(t *testing.T) {
 func TestMemMinMinRespectsMemoryBounds(t *testing.T) {
 	g := dag.PaperExample()
 	for _, m := range []int64{4, 5, 6, 10} {
-		p := platform.New(1, 1, m, m)
+		p := multi.DualPlatform(1, 1, m, m)
 		s, err := MemMinMin(tctx, g, p, Options{})
 		if err != nil {
 			continue
@@ -127,10 +126,10 @@ func TestMemHEFTEqualsHEFTWithPlentifulMemory(t *testing.T) {
 	// §6.2.1: if both bounds exceed HEFT's peaks, MemHEFT takes exactly
 	// the same decisions as HEFT.
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 0, 0)
+	p := multi.DualPlatform(1, 1, 0, 0)
 	h := mustSchedule(t, HEFT, g, p, 7)
 	hb, hr := peaks(h)
-	mh := mustSchedule(t, MemHEFT, g, p.WithBounds(hb, hr), 7)
+	mh := mustSchedule(t, MemHEFT, g, multi.DualPlatform(1, 1, hb, hr), 7)
 	for i := 0; i < g.NumTasks(); i++ {
 		if h.Tasks[i] != mh.Tasks[i] {
 			t.Fatalf("task %d placed differently: %+v vs %+v", i, h.Tasks[i], mh.Tasks[i])
@@ -141,7 +140,7 @@ func TestMemHEFTEqualsHEFTWithPlentifulMemory(t *testing.T) {
 func TestMemHEFTFailsWhenMemoryTooSmall(t *testing.T) {
 	g := dag.PaperExample()
 	// Even executing a single task needs its files in memory; T3 needs 4.
-	p := platform.New(1, 1, 2, 2)
+	p := multi.DualPlatform(1, 1, 2, 2)
 	_, err := MemHEFT(tctx, g, p, Options{})
 	if !errors.Is(err, ErrMemoryBound) {
 		t.Fatalf("err = %v, want ErrMemoryBound", err)
@@ -156,7 +155,7 @@ func TestHeuristicsOnChainSingleMemory(t *testing.T) {
 	// A chain with equal times on a 1+0 platform: the makespan is just
 	// the sum of the works, and memory needs are one file in flight.
 	g := dag.Chain(6, 2, 2, 3, 1)
-	p := platform.New(1, 0, 6, 0)
+	p := multi.DualPlatform(1, 0, 6, 0)
 	for name, f := range Algorithms {
 		if name == "heft" || name == "minmin" {
 			continue // oblivious ones ignore bounds anyway
@@ -172,10 +171,10 @@ func TestChainNeedsTwoFilesDuringInnerTasks(t *testing.T) {
 	// Inner chain tasks hold input+output (2 files of size 3): bound 5
 	// must fail, bound 6 must succeed.
 	g := dag.Chain(4, 1, 1, 3, 1)
-	if _, err := MemHEFT(tctx, g, platform.New(1, 0, 5, 0), Options{}); !errors.Is(err, ErrMemoryBound) {
+	if _, err := MemHEFT(tctx, g, multi.DualPlatform(1, 0, 5, 0), Options{}); !errors.Is(err, ErrMemoryBound) {
 		t.Fatalf("bound 5 accepted: %v", err)
 	}
-	s, err := MemHEFT(tctx, g, platform.New(1, 0, 6, 0), Options{})
+	s, err := MemHEFT(tctx, g, multi.DualPlatform(1, 0, 6, 0), Options{})
 	if err != nil {
 		t.Fatalf("bound 6 rejected: %v", err)
 	}
@@ -189,7 +188,7 @@ func TestForkJoinMemoryForcesSerialisation(t *testing.T) {
 	// output; executing it needs 12. Give exactly 12 so the middle tasks
 	// can only run once predecessors' files are consumed.
 	g := dag.ForkJoin(6, 1, 1, 2, 1)
-	p := platform.New(2, 2, 12, 12)
+	p := multi.DualPlatform(2, 2, 12, 12)
 	for _, f := range []Func{MemHEFT, MemMinMin} {
 		s, err := f(tctx, g, p, Options{Seed: 3})
 		if err != nil {
@@ -207,10 +206,10 @@ func TestMemoryAwareSucceedsAtTotalFilesBound(t *testing.T) {
 	// used + need <= TotalFiles always), hence the memory-aware runs
 	// must succeed and make exactly the oblivious decisions.
 	g := randomDAG(42, 25)
-	p := platform.New(2, 2, 0, 0)
+	p := multi.DualPlatform(2, 2, 0, 0)
 	h := mustSchedule(t, HEFT, g, p, 5)
 	total := g.TotalFiles()
-	mh := mustSchedule(t, MemHEFT, g, p.WithBounds(total, total), 5)
+	mh := mustSchedule(t, MemHEFT, g, p.WithUniformBounds(total), 5)
 	for i := 0; i < g.NumTasks(); i++ {
 		if h.Tasks[i] != mh.Tasks[i] {
 			t.Fatalf("task %d differs at TotalFiles bound", i)
@@ -231,7 +230,7 @@ func TestZeroCostBroadcastTasks(t *testing.T) {
 	g.MustAddEdge(b1, b2, 1, 1)
 	g.MustAddEdge(b1, c1, 1, 1)
 	g.MustAddEdge(b2, c2, 1, 1)
-	p := platform.New(1, 1, 10, 10)
+	p := multi.DualPlatform(1, 1, 10, 10)
 	for name, f := range Algorithms {
 		s, err := f(tctx, g, p, Options{Seed: 2})
 		if err != nil {
@@ -262,7 +261,7 @@ func TestByName(t *testing.T) {
 func TestSingleTaskGraph(t *testing.T) {
 	g := dag.New()
 	g.AddTask("only", 5, 2)
-	p := platform.New(1, 1, 0, 0) // no files: zero memory suffices
+	p := multi.DualPlatform(1, 1, 0, 0) // no files: zero memory suffices
 	s := mustSchedule(t, MemHEFT, g, p, 1)
 	if s.Makespan() != 2 { // red is faster
 		t.Fatalf("makespan = %g, want 2", s.Makespan())
@@ -271,7 +270,7 @@ func TestSingleTaskGraph(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := dag.New()
-	p := platform.New(1, 1, 1, 1)
+	p := multi.DualPlatform(1, 1, 1, 1)
 	s, err := MemHEFT(tctx, g, p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +285,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestRedOnlyPlatform(t *testing.T) {
 	g := dag.PaperExample()
-	p := platform.New(0, 1, 0, 20)
+	p := multi.DualPlatform(0, 1, 0, 20)
 	s := mustSchedule(t, MemMinMin, g, p, 1)
 	// Serial on red: 1+2+3+1 = 7.
 	if ms := s.Makespan(); ms != 7 {
@@ -301,10 +300,10 @@ func TestRedOnlyPlatform(t *testing.T) {
 
 func TestInvalidPlatformRejected(t *testing.T) {
 	g := dag.PaperExample()
-	if _, err := MemHEFT(tctx, g, platform.New(0, 0, 1, 1), Options{}); err == nil {
+	if _, err := MemHEFT(tctx, g, multi.DualPlatform(0, 0, 1, 1), Options{}); err == nil {
 		t.Fatal("no-processor platform accepted")
 	}
-	if _, err := MemMinMin(tctx, g, platform.New(0, 0, 1, 1), Options{}); err == nil {
+	if _, err := MemMinMin(tctx, g, multi.DualPlatform(0, 0, 1, 1), Options{}); err == nil {
 		t.Fatal("no-processor platform accepted")
 	}
 }
@@ -329,7 +328,7 @@ func randomDAG(seed int64, n int) *dag.Graph {
 func TestPropertyHeuristicsProduceValidSchedules(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(seed, 20)
-		p := platform.New(2, 2, platform.Unlimited, platform.Unlimited)
+		p := multi.DualPlatform(2, 2, dag.Unlimited, dag.Unlimited)
 		for _, fn := range []Func{MemHEFT, MemMinMin} {
 			s, err := fn(tctx, g, p, Options{Seed: seed})
 			if err != nil {
@@ -350,7 +349,7 @@ func TestPropertyBoundedRunsRespectBounds(t *testing.T) {
 	f := func(seed int64, rawBound uint16) bool {
 		g := randomDAG(seed, 18)
 		bound := int64(rawBound%200) + 1
-		p := platform.New(2, 2, bound, bound)
+		p := multi.DualPlatform(2, 2, bound, bound)
 		for _, fn := range []Func{MemHEFT, MemMinMin} {
 			s, err := fn(tctx, g, p, Options{Seed: seed})
 			if err != nil {
@@ -378,7 +377,7 @@ func TestPropertyMakespanAtLeastCriticalPath(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p := platform.New(2, 2, platform.Unlimited, platform.Unlimited)
+		p := multi.DualPlatform(2, 2, dag.Unlimited, dag.Unlimited)
 		for _, fn := range []Func{HEFT, MinMin} {
 			s, err := fn(tctx, g, p, Options{Seed: seed})
 			if err != nil {
@@ -405,7 +404,7 @@ func TestPropertyTotalFilesBoundMatchesOblivious(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(seed, 15)
 		total := g.TotalFiles()
-		p := platform.New(1, 1, total, total)
+		p := multi.DualPlatform(1, 1, total, total)
 		pairs := [][2]Func{{HEFT, MemHEFT}, {MinMin, MemMinMin}}
 		for _, pair := range pairs {
 			a, errA := pair[0](tctx, g, p, Options{Seed: seed})
@@ -436,7 +435,7 @@ func TestConservativeCommWindowNeverUnderestimates(t *testing.T) {
 	c := g.AddTask("c", 10, 1) // prefers red; parents prefer blue
 	g.MustAddEdge(a, c, 3, 5)
 	g.MustAddEdge(b, c, 4, 1)
-	p := platform.New(2, 1, 20, 20)
+	p := multi.DualPlatform(2, 1, 20, 20)
 	s := mustSchedule(t, MemMinMin, g, p, 1)
 	if s.PoolOf(c) != red {
 		t.Skip("heuristic placed c on blue; conservative window untested here")

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/multi"
-	"repro/internal/platform"
 )
 
 // The golden-equivalence suite: the incremental schedulers (epoch-memoized
@@ -43,14 +42,14 @@ func sameSchedule(t *testing.T, tag string, got, want *multi.Schedule) {
 // checkPair runs an optimized scheduler and its reference on the same
 // instance and requires identical outcomes: same error classification and,
 // when both succeed, identical schedules.
-func checkPair(t *testing.T, tag string, opt, ref Func, g *dag.Graph, p platform.Platform, seed int64) (failed bool) {
+func checkPair(t *testing.T, tag string, opt, ref Func, g *dag.Graph, p multi.Platform, seed int64) (failed bool) {
 	return checkPairCached(t, tag, opt, ref, g, p, seed, nil)
 }
 
 // checkPairCached is checkPair with the optimized side running under a
 // caller-owned cache set (the session configuration); a cache shared across
 // many calls must not perturb a single bit either.
-func checkPairCached(t *testing.T, tag string, opt, ref Func, g *dag.Graph, p platform.Platform, seed int64, caches *multi.Caches) (failed bool) {
+func checkPairCached(t *testing.T, tag string, opt, ref Func, g *dag.Graph, p multi.Platform, seed int64, caches *multi.Caches) (failed bool) {
 	t.Helper()
 	so, eo := opt(tctx, g, p, Options{Seed: seed, Caches: caches})
 	sr, er := ref(tctx, g, p, Options{Seed: seed})
@@ -86,7 +85,7 @@ func TestGoldenEquivalenceRandomSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := platform.New(1+rng.Intn(3), 1+rng.Intn(3), platform.Unlimited, platform.Unlimited)
+		p := multi.DualPlatform(1+rng.Intn(3), 1+rng.Intn(3), dag.Unlimited, dag.Unlimited)
 		// Peak memory of the unbounded run calibrates the pressure.
 		s, err := MemHEFT(tctx, g, p, Options{Seed: seed})
 		if err != nil {
@@ -102,7 +101,7 @@ func TestGoldenEquivalenceRandomSweep(t *testing.T) {
 		caches := multi.NewCaches()
 		for _, alpha := range alphas {
 			bound := int64(alpha * float64(peak))
-			bp := p.WithBounds(bound, bound)
+			bp := p.WithUniformBounds(bound)
 			checkPairCached(t, "memheft", MemHEFT, MemHEFTReference, g, bp, seed, caches)
 			checkPairCached(t, "memminmin", MemMinMin, MemMinMinReference, g, bp, seed, caches)
 			runs += 2
@@ -120,7 +119,7 @@ func TestGoldenEquivalenceLowMemoryFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := platform.New(2, 2, 1, 1) // far below any peak: must fail identically
+	p := multi.DualPlatform(2, 2, 1, 1) // far below any peak: must fail identically
 	hFailed := checkPair(t, "memheft-fail", MemHEFT, MemHEFTReference, g, p, 5)
 	mFailed := checkPair(t, "memminmin-fail", MemMinMin, MemMinMinReference, g, p, 5)
 	if !hFailed || !mFailed {
@@ -136,7 +135,7 @@ func TestIncrementalStateMatchesScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := platform.New(2, 1, platform.Unlimited, platform.Unlimited)
+	p := multi.DualPlatform(2, 1, dag.Unlimited, dag.Unlimited)
 	st := NewPartial(g, p)
 	for !st.Done() {
 		// Naive ready scan.
@@ -189,7 +188,7 @@ func TestCloneIntoIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := platform.New(2, 2, 300, 300)
+	p := multi.DualPlatform(2, 2, 300, 300)
 	st := NewPartial(g, p)
 	// Warm the caches and commit a couple of tasks.
 	for k := 0; k < 2; k++ {

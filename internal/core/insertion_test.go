@@ -5,14 +5,14 @@ import (
 	"testing/quick"
 
 	"repro/internal/dag"
-	"repro/internal/platform"
+	"repro/internal/multi"
 )
 
 func TestMemHEFTInsertionProducesValidSchedules(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(seed, 20)
-		for _, bound := range []int64{40, platform.Unlimited} {
-			p := platform.New(2, 2, bound, bound)
+		for _, bound := range []int64{40, dag.Unlimited} {
+			p := multi.DualPlatform(2, 2, bound, bound)
 			s, err := MemHEFTInsertion(tctx, g, p, Options{Seed: seed})
 			if err != nil {
 				continue
@@ -45,7 +45,7 @@ func TestInsertionFillsGap(t *testing.T) {
 	g.MustAddEdge(x, y, 1, 6) // y waits for the cross transfer
 	z := g.AddTask("z", 2, 2)
 
-	p := platform.New(1, 1, 100, 100)
+	p := multi.DualPlatform(1, 1, 100, 100)
 	// Force x on blue, y on red by times? Keep times equal; with seed
 	// tie-breaks the placements vary, so instead check the global
 	// property: insertion's makespan <= append's makespan on this
@@ -76,7 +76,7 @@ func TestInsertionZeroDurationTasks(t *testing.T) {
 	c := g.AddTask("c", 2, 2)
 	g.MustAddEdge(a, b, 1, 1)
 	g.MustAddEdge(b, c, 1, 1)
-	p := platform.New(1, 0, 10, 0)
+	p := multi.DualPlatform(1, 0, 10, 0)
 	s, err := MemHEFTInsertion(tctx, g, p, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)

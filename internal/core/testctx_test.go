@@ -1,7 +1,7 @@
 // Package core holds the tests of the dual-memory engine that the k-pool
 // engine of internal/multi replaced: the paper's machine is its 2-pool
 // case (pool 0 blue, pool 1 red). The tests run on that engine through the
-// adapters below, over FromDual instances and FromDualPlatform platforms,
+// adapters below, over FromDual instances and DualPlatform platforms,
 // and keep this package path so their names stay stable.
 package core
 
@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/multi"
-	"repro/internal/platform"
 )
 
 // tctx is the shared background context of the package tests.
@@ -19,8 +18,8 @@ var tctx = context.Background()
 
 // blue and red are the pool indices of the dual model's two memories.
 const (
-	blue = int(platform.Blue)
-	red  = int(platform.Red)
+	blue = 0
+	red  = 1
 )
 
 // Options tunes a heuristic run.
@@ -30,13 +29,13 @@ type Options = multi.Options
 var ErrMemoryBound = multi.ErrMemoryBound
 
 // Func is a heuristic over a dual-memory graph and platform.
-type Func func(ctx context.Context, g *dag.Graph, p platform.Platform, opt Options) (*multi.Schedule, error)
+type Func func(ctx context.Context, g *dag.Graph, p multi.Platform, opt Options) (*multi.Schedule, error)
 
 // onDual runs fn on the 2-pool instance and platform of (g, p); oblivious
 // heuristics run on the platform's unbounded twin.
 func onDual(fn multi.Func, oblivious bool) Func {
-	return func(ctx context.Context, g *dag.Graph, p platform.Platform, opt Options) (*multi.Schedule, error) {
-		pp := multi.FromDualPlatform(p)
+	return func(ctx context.Context, g *dag.Graph, p multi.Platform, opt Options) (*multi.Schedule, error) {
+		pp := p
 		if oblivious {
 			pp = pp.Unbounded()
 		}
@@ -88,8 +87,8 @@ func PriorityList(ctx context.Context, g *dag.Graph, seed int64) ([]dag.TaskID, 
 }
 
 // NewPartial returns an empty partial schedule of g on p.
-func NewPartial(g *dag.Graph, p platform.Platform) *multi.Partial {
-	return multi.NewPartial(instanceOf(g), multi.FromDualPlatform(p))
+func NewPartial(g *dag.Graph, p multi.Platform) *multi.Partial {
+	return multi.NewPartial(instanceOf(g), p)
 }
 
 // peaks returns the blue and red peaks of a 2-pool schedule.

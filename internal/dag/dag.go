@@ -15,9 +15,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/platform"
 )
+
+// Unlimited is a memory capacity large enough to never constrain a schedule;
+// using it turns MemHEFT into plain HEFT and MemMinMin into plain MinMin.
+// Validate keeps the sum of a graph's file sizes within it.
+const Unlimited int64 = 1 << 62
 
 // TaskID identifies a task inside one Graph. IDs are dense: the first task
 // added receives ID 0, the next ID 1, and so on.
@@ -227,20 +230,6 @@ func (g *Graph) TotalFiles() int64 {
 	return sum
 }
 
-// TotalWork returns the sum over tasks of the processing time on the given
-// resource: blue if blue is true, red otherwise.
-func (g *Graph) TotalWork(blue bool) float64 {
-	var sum float64
-	for _, t := range g.tasks {
-		if blue {
-			sum += t.WBlue
-		} else {
-			sum += t.WRed
-		}
-	}
-	return sum
-}
-
 // TotalMinWork returns the sum over tasks of min(WBlue, WRed): the
 // aggregate work of exact.LowerBound on a graph's dual instance, which the
 // exact tests compare against.
@@ -248,20 +237,6 @@ func (g *Graph) TotalMinWork() float64 {
 	var sum float64
 	for _, t := range g.tasks {
 		sum += min(t.WBlue, t.WRed)
-	}
-	return sum
-}
-
-// MaxTime returns the coarse horizon used by the ILP as Mmax: the sum of all
-// blue times, all red times and all communication times. Any schedule that
-// never idles unnecessarily finishes before this bound.
-func (g *Graph) MaxTime() float64 {
-	var sum float64
-	for _, t := range g.tasks {
-		sum += t.WBlue + t.WRed
-	}
-	for _, e := range g.edges {
-		sum += e.Comm
 	}
 	return sum
 }
@@ -295,7 +270,7 @@ var ErrCyclic = errors.New("dag: graph contains a cycle")
 // Every list-schedule time is a sum of the durations of distinct tasks and
 // transfers, and every memory residency is a sum of distinct file sizes. So
 // the sum over tasks of max(WBlue, WRed) plus every Comm must be finite,
-// and the sum of every File must not exceed platform.Unlimited. The bound
+// and the sum of every File must not exceed Unlimited. The bound
 // is conservative: it counts all work as if run in sequence and all files
 // as resident at once, so it also rejects some graphs no schedule would
 // overflow, such as two independent tasks of 1e308 each.
@@ -315,10 +290,10 @@ func (g *Graph) Validate() error {
 		if e.Comm < 0 {
 			return fmt.Errorf("dag: edge %d -> %d has negative communication time %g", e.From, e.To, e.Comm)
 		}
-		if e.File > platform.Unlimited-files {
+		if e.File > Unlimited-files {
 			return fmt.Errorf("dag: file sizes sum past %d at edge %d -> %d; "+
 				"the sum over all edges must stay within the unlimited capacity "+
-				"(a conservative bound: it counts every file as resident at once)", platform.Unlimited, e.From, e.To)
+				"(a conservative bound: it counts every file as resident at once)", Unlimited, e.From, e.To)
 		}
 		files += e.File
 		work += e.Comm

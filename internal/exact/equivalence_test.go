@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/daggen"
 	"repro/internal/multi"
-	"repro/internal/platform"
 )
 
 // naiveSearcher mirrors Solve with the pre-incremental search mechanics: a
@@ -70,7 +69,7 @@ func TestSearchMatchesNaiveClonePerNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, p := inst(g), pools(platform.New(1, 1, 60, 60))
+		in, p := inst(g), multi.DualPlatform(1, 1, 60, 60)
 		res, err := Solve(tctx, in, p, Options{MaxNodes: 30000})
 		if err != nil {
 			t.Fatal(err)

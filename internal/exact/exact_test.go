@@ -7,13 +7,12 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/multi"
-	"repro/internal/platform"
 )
 
 func TestLowerBoundPaperExample(t *testing.T) {
 	g := dag.PaperExample()
 	// CP (min times) = 5; total min work 7 over 2 procs = 3.5.
-	lb, err := LowerBound(inst(g), pools(platform.New(1, 1, 10, 10)))
+	lb, err := LowerBound(inst(g), multi.DualPlatform(1, 1, 10, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +20,7 @@ func TestLowerBoundPaperExample(t *testing.T) {
 		t.Fatalf("LowerBound = %g, want 5", lb)
 	}
 	// On a single processor the work bound dominates: 7.
-	lb, _ = LowerBound(inst(g), pools(platform.New(0, 1, 10, 10)))
+	lb, _ = LowerBound(inst(g), multi.DualPlatform(0, 1, 10, 10))
 	if lb != 7 {
 		t.Fatalf("LowerBound(1 proc) = %g, want 7", lb)
 	}
@@ -29,8 +28,8 @@ func TestLowerBoundPaperExample(t *testing.T) {
 
 func TestOptimalPaperExampleUnlimited(t *testing.T) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, platform.Unlimited, platform.Unlimited)
-	res, err := Solve(tctx, inst(g), pools(p), Options{})
+	p := multi.DualPlatform(1, 1, dag.Unlimited, dag.Unlimited)
+	res, err := Solve(tctx, inst(g), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +49,8 @@ func TestOptimalPaperExampleMemoryFour(t *testing.T) {
 	// §3.3: with M(blue)=M(red)=4 the optimum trades one time unit for
 	// memory: makespan 7.
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 4, 4)
-	res, err := Solve(tctx, inst(g), pools(p), Options{})
+	p := multi.DualPlatform(1, 1, 4, 4)
+	res, err := Solve(tctx, inst(g), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +68,15 @@ func TestOptimalPaperExampleMemoryFour(t *testing.T) {
 
 func TestInfeasibleWhenMemoryTooSmall(t *testing.T) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 2, 2) // T3 alone needs 4
-	res, err := Solve(tctx, inst(g), pools(p), Options{})
+	p := multi.DualPlatform(1, 1, 2, 2) // T3 alone needs 4
+	res, err := Solve(tctx, inst(g), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", res.Status)
 	}
-	ok, st, err := CheckFeasible(tctx, inst(g), pools(p), Options{})
+	ok, st, err := CheckFeasible(tctx, inst(g), p, Options{})
 	if err != nil || ok || st != Infeasible {
 		t.Fatalf("CheckFeasible = %v/%v/%v", ok, st, err)
 	}
@@ -85,15 +84,15 @@ func TestInfeasibleWhenMemoryTooSmall(t *testing.T) {
 
 func TestFeasibilityOnlyStopsEarly(t *testing.T) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 10, 10)
-	res, err := Solve(tctx, inst(g), pools(p), Options{FeasibilityOnly: true})
+	p := multi.DualPlatform(1, 1, 10, 10)
+	res, err := Solve(tctx, inst(g), p, Options{FeasibilityOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Feasible || res.Schedule == nil {
 		t.Fatalf("res = %+v", res)
 	}
-	full, _ := Solve(tctx, inst(g), pools(p), Options{})
+	full, _ := Solve(tctx, inst(g), p, Options{})
 	if res.Nodes > full.Nodes {
 		t.Fatalf("feasibility search (%d nodes) slower than full search (%d)", res.Nodes, full.Nodes)
 	}
@@ -101,19 +100,19 @@ func TestFeasibilityOnlyStopsEarly(t *testing.T) {
 
 func TestIncumbentPrunes(t *testing.T) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 10, 10)
-	h, err := multi.MemHEFT(tctx, inst(g), pools(p), multi.Options{})
+	p := multi.DualPlatform(1, 1, 10, 10)
+	h, err := multi.MemHEFT(tctx, inst(g), p, multi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(tctx, inst(g), pools(p), Options{Incumbent: h})
+	res, err := Solve(tctx, inst(g), p, Options{Incumbent: h})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Optimal || res.Makespan > h.Makespan() {
 		t.Fatalf("res = %+v vs heuristic %g", res, h.Makespan())
 	}
-	plain, _ := Solve(tctx, inst(g), pools(p), Options{})
+	plain, _ := Solve(tctx, inst(g), p, Options{})
 	if res.Nodes > plain.Nodes {
 		t.Fatalf("seeded search explored more nodes (%d) than unseeded (%d)", res.Nodes, plain.Nodes)
 	}
@@ -121,8 +120,8 @@ func TestIncumbentPrunes(t *testing.T) {
 
 func TestNodeBudgetReportsUnknownOrFeasible(t *testing.T) {
 	g := dag.Chain(6, 2, 3, 1, 1)
-	p := platform.New(1, 1, 10, 10)
-	res, err := Solve(tctx, inst(g), pools(p), Options{MaxNodes: 2})
+	p := multi.DualPlatform(1, 1, 10, 10)
+	res, err := Solve(tctx, inst(g), p, Options{MaxNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +133,12 @@ func TestNodeBudgetReportsUnknownOrFeasible(t *testing.T) {
 func TestSolveMatchesEnumerateMinimum(t *testing.T) {
 	g := dag.PaperExample()
 	for _, m := range []int64{4, 5, 20} {
-		p := platform.New(1, 1, m, m)
-		all, err := Enumerate(inst(g), pools(p))
+		p := multi.DualPlatform(1, 1, m, m)
+		all, err := Enumerate(inst(g), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(tctx, inst(g), pools(p), Options{})
+		res, err := Solve(tctx, inst(g), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +162,7 @@ func TestSolveMatchesEnumerateMinimum(t *testing.T) {
 
 func TestEnumerateGuard(t *testing.T) {
 	g := dag.Chain(9, 1, 1, 1, 1)
-	if _, err := Enumerate(inst(g), pools(platform.New(1, 1, 10, 10))); err == nil {
+	if _, err := Enumerate(inst(g), multi.DualPlatform(1, 1, 10, 10)); err == nil {
 		t.Fatal("Enumerate accepted a 9-task graph")
 	}
 }
@@ -171,13 +170,13 @@ func TestEnumerateGuard(t *testing.T) {
 func TestOptimalNeverWorseThanHeuristics(t *testing.T) {
 	f := func(seed int64) bool {
 		g := smallRandom(seed)
-		p := platform.New(1, 1, 25, 25)
-		res, err := Solve(tctx, inst(g), pools(p), Options{MaxNodes: 300000})
+		p := multi.DualPlatform(1, 1, 25, 25)
+		res, err := Solve(tctx, inst(g), p, Options{MaxNodes: 300000})
 		if err != nil || res.Status == Unknown || res.Status == Feasible {
 			return true // budget blowups do not falsify the property
 		}
 		for _, f := range []multi.Func{multi.MemHEFT, multi.MemMinMin} {
-			hs, err := f(tctx, inst(g), pools(p), multi.Options{Seed: seed})
+			hs, err := f(tctx, inst(g), p, multi.Options{Seed: seed})
 			if err != nil {
 				continue
 			}
@@ -198,8 +197,8 @@ func TestOptimalNeverWorseThanHeuristics(t *testing.T) {
 func TestOptimalSchedulesValidate(t *testing.T) {
 	f := func(seed int64) bool {
 		g := smallRandom(seed)
-		p := platform.New(1, 1, 30, 30)
-		res, err := Solve(tctx, inst(g), pools(p), Options{MaxNodes: 300000})
+		p := multi.DualPlatform(1, 1, 30, 30)
+		res, err := Solve(tctx, inst(g), p, Options{MaxNodes: 300000})
 		if err != nil {
 			return false
 		}
@@ -216,12 +215,12 @@ func TestOptimalSchedulesValidate(t *testing.T) {
 func TestLowerBoundHoldsForOptimal(t *testing.T) {
 	f := func(seed int64) bool {
 		g := smallRandom(seed)
-		p := platform.New(1, 1, platform.Unlimited, platform.Unlimited)
-		lb, err := LowerBound(inst(g), pools(p))
+		p := multi.DualPlatform(1, 1, dag.Unlimited, dag.Unlimited)
+		lb, err := LowerBound(inst(g), p)
 		if err != nil {
 			return false
 		}
-		res, err := Solve(tctx, inst(g), pools(p), Options{MaxNodes: 300000})
+		res, err := Solve(tctx, inst(g), p, Options{MaxNodes: 300000})
 		if err != nil || res.Schedule == nil {
 			return true
 		}
@@ -267,8 +266,8 @@ func TestTimeoutStopsSearch(t *testing.T) {
 	// nanosecond; the search must stop via the deadline check and report
 	// a budgeted status.
 	g := smallRandom(3)
-	p := platform.New(1, 1, 30, 30)
-	res, err := Solve(tctx, inst(g), pools(p), Options{Timeout: 1, MaxNodes: 1 << 30})
+	p := multi.DualPlatform(1, 1, 30, 30)
+	res, err := Solve(tctx, inst(g), p, Options{Timeout: 1, MaxNodes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +288,10 @@ func TestLowerBoundOnCyclicGraphFails(t *testing.T) {
 	b := g.AddTask("b", 1, 1)
 	g.MustAddEdge(a, b, 1, 1)
 	g.MustAddEdge(b, a, 1, 1)
-	if _, err := LowerBound(inst(g), pools(platform.New(1, 1, 1, 1))); err == nil {
+	if _, err := LowerBound(inst(g), multi.DualPlatform(1, 1, 1, 1)); err == nil {
 		t.Fatal("cyclic graph accepted")
 	}
-	if _, err := Solve(tctx, inst(g), pools(platform.New(1, 1, 1, 1)), Options{}); err == nil {
+	if _, err := Solve(tctx, inst(g), multi.DualPlatform(1, 1, 1, 1), Options{}); err == nil {
 		t.Fatal("cyclic graph accepted by Solve")
 	}
 }
@@ -303,8 +302,8 @@ func TestLowerBoundOnCyclicGraphFails(t *testing.T) {
 func TestLowerBoundMatchesDualReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		g := smallRandom(seed)
-		p := platform.New(int(seed%3)+1, 2, 10, 10)
-		got, err := LowerBound(inst(g), pools(p))
+		p := multi.DualPlatform(int(seed%3)+1, 2, 10, 10)
+		got, err := LowerBound(inst(g), p)
 		if err != nil {
 			t.Fatal(err)
 		}

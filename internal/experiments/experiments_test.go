@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/daggen"
-	"repro/internal/platform"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -284,12 +283,10 @@ func TestQuickFig10Runs(t *testing.T) {
 
 func TestMiragePlatformShape(t *testing.T) {
 	p := MiragePlatform()
-	if p.PBlue != 12 || p.PRed != 3 {
+	if p.NumPools() != 2 || p.Pools[0].Procs != 12 || p.Pools[1].Procs != 3 {
 		t.Fatalf("mirage = %+v", p)
 	}
 	if RandomPlatform().TotalProcs() != 4 {
 		t.Fatal("random platform wrong")
 	}
 }
-
-var _ = platform.New // keep import when build tags change

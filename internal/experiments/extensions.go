@@ -79,7 +79,7 @@ func ExtInsertion(ctx context.Context, scale Scale, seed int64) (*Table, error) 
 	if err != nil {
 		return nil, err
 	}
-	platforms, xs := memoryGridPlatforms(poolPlatform(p), MemoryGrid(peak+peak/10, steps))
+	platforms, xs := memoryGridPlatforms(p, MemoryGrid(peak+peak/10, steps))
 	table, err := gridSweep(ctx, sess, platforms, xs,
 		[]string{"memheft", "memheft-insertion"},
 		[]string{"memheft-append", "memheft-insertion"}, seed)
@@ -119,7 +119,7 @@ func ExtOnline(ctx context.Context, scale Scale, seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	platforms, xs := memoryGridPlatforms(poolPlatform(p), MemoryGrid(peak+peak/10, steps))
+	platforms, xs := memoryGridPlatforms(p, MemoryGrid(peak+peak/10, steps))
 	table, err := gridSweep(ctx, sess, platforms, xs,
 		[]string{"memheft", "memminmin", sweep.SchedulerSimRank, sweep.SchedulerSimEFT},
 		[]string{"memheft", "memminmin", "online-rank", "online-eft"}, seed)

@@ -4,10 +4,10 @@ import (
 	"context"
 	"time"
 
+	memsched "repro"
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/linalg"
-	"repro/internal/platform"
 )
 
 // Scale selects the cost of an experiment run.
@@ -24,11 +24,11 @@ const (
 // RandomPlatform is the platform used for the random-DAG experiments. The
 // paper does not state processor counts for those sets; two processors per
 // memory is the smallest platform exhibiting all effects (see DESIGN.md).
-func RandomPlatform() platform.Platform { return platform.New(2, 2, 0, 0) }
+func RandomPlatform() memsched.Platform { return memsched.NewDualPlatform(2, 2, 0, 0) }
 
 // MiragePlatform models the mirage machine of §6.1.2: 12 CPU cores (blue)
 // and 3 GPUs (red).
-func MiragePlatform() platform.Platform { return platform.New(12, 3, 0, 0) }
+func MiragePlatform() memsched.Platform { return memsched.NewDualPlatform(12, 3, 0, 0) }
 
 // Table1 returns the kernel timing table (Table 1 of the paper plus the
 // synthetic accelerator column used throughout, cf. DESIGN.md).

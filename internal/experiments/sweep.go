@@ -10,7 +10,6 @@ import (
 
 	memsched "repro"
 	"repro/internal/dag"
-	"repro/internal/platform"
 	"repro/sweep"
 )
 
@@ -25,22 +24,16 @@ import (
 // HEFTReference runs memory-oblivious HEFT on g and returns its makespan and
 // the larger of its two memory peaks; the paper normalises every sweep by
 // these quantities ("the amount of memory required by HEFT").
-func HEFTReference(ctx context.Context, g *dag.Graph, p platform.Platform, seed int64) (makespan float64, maxPeak int64, err error) {
+func HEFTReference(ctx context.Context, g *dag.Graph, p memsched.Platform, seed int64) (makespan float64, maxPeak int64, err error) {
 	sess, err := memsched.NewSession(g)
 	if err != nil {
 		return 0, 0, err
 	}
-	res, err := sess.Schedule(ctx, poolPlatform(p), memsched.WithScheduler("heft"), memsched.WithSeed(seed))
+	res, err := sess.Schedule(ctx, p, memsched.WithScheduler("heft"), memsched.WithSeed(seed))
 	if err != nil {
 		return 0, 0, fmt.Errorf("experiments: HEFT reference failed: %w", err)
 	}
 	return res.Makespan(), slices.Max(res.PeakResidency()), nil
-}
-
-// poolPlatform lifts the dual-memory platform type onto the unified pool
-// surface the Session API (and the sweep engine) speak.
-func poolPlatform(p platform.Platform) memsched.Platform {
-	return memsched.NewDualPlatform(p.PBlue, p.PRed, p.MBlue, p.MRed)
 }
 
 // NormalizedSweepConfig drives the Figure 10 / Figure 12 experiment: for
@@ -50,7 +43,7 @@ func poolPlatform(p platform.Platform) memsched.Platform {
 // rates.
 type NormalizedSweepConfig struct {
 	Graphs   []*dag.Graph
-	Platform platform.Platform // memory bounds ignored
+	Platform memsched.Platform // memory bounds ignored
 	Alphas   []float64
 	Seed     int64
 
@@ -109,7 +102,7 @@ func NormalizedSweep(ctx context.Context, cfg NormalizedSweepConfig) (*SweepResu
 			return nil, err
 		}
 		res, err := sweep.Run(ctx, sess, sweep.Spec{
-			Base:        poolPlatform(cfg.Platform),
+			Base:        cfg.Platform,
 			Alphas:      cfg.Alphas,
 			Schedulers:  normalizedSchedulers,
 			Seeds:       []int64{cfg.Seed},
@@ -141,7 +134,7 @@ func NormalizedSweep(ctx context.Context, cfg NormalizedSweepConfig) (*SweepResu
 			for ai, alpha := range cfg.Alphas {
 				bound := int64(alpha * float64(res.Summary.Peak))
 				points[ai] = sweep.Point{
-					Platform:  poolPlatform(cfg.Platform).WithUniformBounds(bound),
+					Platform:  cfg.Platform.WithUniformBounds(bound),
 					Scheduler: sweep.SchedulerOptimal,
 					Seed:      cfg.Seed,
 					Axis:      ai,
@@ -191,7 +184,7 @@ func NormalizedSweep(ctx context.Context, cfg NormalizedSweepConfig) (*SweepResu
 // optionally the lower bound).
 type AbsoluteSweepConfig struct {
 	Graph      *dag.Graph
-	Platform   platform.Platform // memory bounds ignored
+	Platform   memsched.Platform // memory bounds ignored
 	Memories   []int64           // bounds applied to both memories
 	Seed       int64
 	Algorithms []string // names from memsched.Schedulers; nil = all four
@@ -228,7 +221,7 @@ func AbsoluteSweep(ctx context.Context, cfg AbsoluteSweepConfig) (*Table, error)
 	if err != nil {
 		return nil, err
 	}
-	base := poolPlatform(cfg.Platform)
+	base := cfg.Platform
 
 	lb := math.NaN()
 	if cfg.LowerBound {

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dag"
-	"repro/internal/platform"
+	"repro/internal/multi"
 )
 
 // modelCases lists every instance the package tests assemble a model for,
@@ -17,7 +17,7 @@ import (
 func modelCases() []struct {
 	name string
 	g    *dag.Graph
-	p    platform.Platform
+	p    multi.Platform
 } {
 	single := dag.New()
 	single.AddTask("only", 5, 2)
@@ -30,20 +30,20 @@ func modelCases() []struct {
 	return []struct {
 		name string
 		g    *dag.Graph
-		p    platform.Platform
+		p    multi.Platform
 	}{
-		{"paper-1-1-5-5", dag.PaperExample(), platform.New(1, 1, 5, 5)},
-		{"paper-1-1-100-100", dag.PaperExample(), platform.New(1, 1, 100, 100)},
-		{"single-1-1-1-1", single, platform.New(1, 1, 1, 1)},
-		{"faster-memory", twoChain(1, 10, 2, 10, 1, 5), platform.New(1, 1, 10, 10)},
-		{"cross-memory", twoChain(1, 10, 10, 1, 2, 3), platform.New(1, 1, 10, 10)},
-		{"memory-bound", twoChain(1, 10, 10, 1, 2, 3), platform.New(1, 1, 10, 1)},
-		{"no-memory-fits", twoChain(1, 1, 1, 1, 5, 1), platform.New(1, 1, 2, 2)},
-		{"fork", fork, platform.New(1, 1, 10, 10)},
-		{"exact-a", twoChain(2, 3, 4, 1, 1, 2), platform.New(1, 1, 10, 10)},
-		{"exact-b", twoChain(3, 1, 1, 3, 2, 1), platform.New(1, 1, 10, 10)},
-		{"never-worse", twoChain(2, 2, 3, 3, 2, 1), platform.New(1, 1, 4, 4)},
-		{"decode-blue-only", twoChain(1, 1, 1, 1, 1, 1), platform.New(1, 0, 10, 10)},
+		{"paper-1-1-5-5", dag.PaperExample(), multi.DualPlatform(1, 1, 5, 5)},
+		{"paper-1-1-100-100", dag.PaperExample(), multi.DualPlatform(1, 1, 100, 100)},
+		{"single-1-1-1-1", single, multi.DualPlatform(1, 1, 1, 1)},
+		{"faster-memory", twoChain(1, 10, 2, 10, 1, 5), multi.DualPlatform(1, 1, 10, 10)},
+		{"cross-memory", twoChain(1, 10, 10, 1, 2, 3), multi.DualPlatform(1, 1, 10, 10)},
+		{"memory-bound", twoChain(1, 10, 10, 1, 2, 3), multi.DualPlatform(1, 1, 10, 1)},
+		{"no-memory-fits", twoChain(1, 1, 1, 1, 5, 1), multi.DualPlatform(1, 1, 2, 2)},
+		{"fork", fork, multi.DualPlatform(1, 1, 10, 10)},
+		{"exact-a", twoChain(2, 3, 4, 1, 1, 2), multi.DualPlatform(1, 1, 10, 10)},
+		{"exact-b", twoChain(3, 1, 1, 3, 2, 1), multi.DualPlatform(1, 1, 10, 10)},
+		{"never-worse", twoChain(2, 2, 3, 3, 2, 1), multi.DualPlatform(1, 1, 4, 4)},
+		{"decode-blue-only", twoChain(1, 1, 1, 1, 1, 1), multi.DualPlatform(1, 0, 10, 10)},
 	}
 }
 
@@ -114,7 +114,7 @@ func modelDigest(md *Model) string {
 // a refactor of Build provably hands the solver the same search.
 func TestModelGolden(t *testing.T) {
 	for _, tc := range modelCases() {
-		md, err := Build(tc.g, tc.p)
+		md, err := Build(multi.FromDual(tc.g), tc.p)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -5,6 +5,10 @@
 // schedules for small instances so the heuristics' absolute performance can
 // be assessed.
 //
+// The model is the paper's dual-memory one: it takes a 2-pool instance and
+// platform, pool 0 blue and pool 1 red, and one binary b_i per task picks
+// the task's pool. Build rejects other pool counts.
+//
 // Faithfulness notes (the report has a few internal inconsistencies; this
 // implementation follows the variant that makes the constraint system
 // coherent and documents each choice):
@@ -12,7 +16,7 @@
 //   - Figure 5 says b_i = 1 means blue, but constraints (13), (24) and the
 //     Figure-7 version of (26)-(27) are only consistent with b_i = 1 meaning
 //     *red* (e.g. (13b) forces p_i >= P1+1 when b_i = 1). We adopt b_i = 1
-//     <=> red.
+//     <=> red, pool 1.
 //   - Constraint (27) bounds the memory of the *destination* of the
 //     communication (its indicator terms use delta_kj and delta_pj), so its
 //     right-hand side uses b_j; Figures 6 and 7 disagree on the subscript.
@@ -34,13 +38,13 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/lp"
-	"repro/internal/platform"
+	"repro/internal/multi"
 )
 
-// Model is the assembled ILP for one (graph, platform) instance.
+// Model is the assembled ILP for one (instance, platform) pair.
 type Model struct {
-	G    *dag.Graph
-	P    platform.Platform
+	In   *multi.Instance
+	P    multi.Platform
 	LP   *lp.Problem
 	Ints []int   // variables constrained to be integral (all binaries)
 	Mmax float64 // the big-M horizon
@@ -51,7 +55,7 @@ type Model struct {
 	vTau      []int // start time per communication (edge)
 	vW        []int // actual work per task
 	vP        []int // processor index per task (continuous, 1-based)
-	vB        []int // 1 iff the task runs on the red memory
+	vB        []int // 1 iff the task runs on pool 1, the red memory
 
 	vEps    map[[2]int]int // eps[i][j], ordered pairs i != j
 	vDelta  map[[2]int]int // delta[i][j], unordered pairs i < j
@@ -112,24 +116,27 @@ type term struct {
 func varTerm(v int) term       { return term{isVar: true, v: v} }
 func constTerm(c float64) term { return term{c: c} }
 
-// Build assembles the ILP for g on p.
-func Build(g *dag.Graph, p platform.Platform) (*Model, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
+// Build assembles the ILP for in on the 2-pool platform p.
+func Build(in *multi.Instance, p multi.Platform) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n, m := g.NumTasks(), g.NumEdges()
+	if p.NumPools() != 2 {
+		return nil, fmt.Errorf("ilp: the model has one memory binary per task and needs 2 pools, got %d", p.NumPools())
+	}
+	if err := in.Validate(p); err != nil {
+		return nil, err
+	}
+	n, m := in.G.NumTasks(), in.G.NumEdges()
 	est := 1 + 4*n + m + 4*n*n + 6*n*m + 4*m*m
 	if est > MaxVariables {
 		return nil, fmt.Errorf("ilp: model would need ~%d variables (> %d); the ILP is only meant for small instances", est, MaxVariables)
 	}
 
 	md := &Model{
-		G: g, P: p,
+		In: in, P: p,
 		LP:   &lp.Problem{},
-		Mmax: g.MaxTime(),
+		Mmax: horizon(in),
 		vEps: map[[2]int]int{}, vDelta: map[[2]int]int{},
 		vM: map[[2]int]int{}, vSigma: map[[2]int]int{},
 		vMp: map[[2]int]int{}, vSigmaP: map[[2]int]int{},
@@ -141,6 +148,20 @@ func Build(g *dag.Graph, p platform.Platform) (*Model, error) {
 	}
 	md.build()
 	return md, nil
+}
+
+// horizon returns the big-M horizon Mmax: the sum of every task's time on
+// both pools and of every communication time. Any schedule that never idles
+// unnecessarily finishes before this bound.
+func horizon(in *multi.Instance) float64 {
+	var sum float64
+	for i := range in.Times {
+		sum += in.Time(dag.TaskID(i), 0) + in.Time(dag.TaskID(i), 1)
+	}
+	for _, e := range in.G.Edges() {
+		sum += e.Comm
+	}
+	return sum
 }
 
 func (md *Model) newVar() int {
@@ -207,7 +228,7 @@ func (md *Model) dpTerm(e, f int) term {
 }
 
 func (md *Model) build() {
-	g, p := md.G, md.P
+	g, p := md.In.G, md.P
 	n, m := g.NumTasks(), g.NumEdges()
 	Mmax := md.Mmax
 	totalProcs := float64(p.TotalProcs())
@@ -403,11 +424,12 @@ func (md *Model) build() {
 	}
 	// (13) processor range vs memory side: b_i = 0 -> p_i <= P1 (blue);
 	// b_i = 1 -> p_i >= P1+1 (red). Plus explicit 1 <= p_i <= P.
+	pBlue := float64(p.Pools[0].Procs)
 	for i := 0; i < n; i++ {
 		md.constrain("13-procmem",
-			newExpr().add(md.vP[i], 1).add(md.vB[i], -totalProcs), lp.LE, float64(p.PBlue))
+			newExpr().add(md.vP[i], 1).add(md.vB[i], -totalProcs), lp.LE, pBlue)
 		md.constrain("13-procmem",
-			newExpr().add(md.vP[i], 1).add(md.vB[i], -(totalProcs+1)), lp.GE, float64(p.PBlue)-totalProcs)
+			newExpr().add(md.vP[i], 1).add(md.vB[i], -(totalProcs+1)), lp.GE, pBlue-totalProcs)
 		md.constrain("13-procmem", newExpr().add(md.vP[i], 1), lp.GE, 1)
 		md.constrain("13-procmem", newExpr().add(md.vP[i], 1), lp.LE, totalProcs)
 	}
@@ -476,9 +498,9 @@ func (md *Model) build() {
 	}
 	// (24) w_i = b_i W_red + (1-b_i) W_blue, as one equality.
 	for i := 0; i < n; i++ {
-		t := g.Task(dag.TaskID(i))
+		wBlue, wRed := md.In.Time(dag.TaskID(i), 0), md.In.Time(dag.TaskID(i), 1)
 		md.constrain("24-work",
-			newExpr().add(md.vW[i], 1).add(md.vB[i], t.WBlue-t.WRed), lp.EQ, t.WBlue)
+			newExpr().add(md.vW[i], 1).add(md.vB[i], wBlue-wRed), lp.EQ, wBlue)
 	}
 	// (25) sigma_ij + sigma_ji + eps_ij + eps_ji >= 1 (i != j).
 	for i := 0; i < n; i++ {
@@ -492,8 +514,8 @@ func (md *Model) build() {
 	}
 
 	// --- Memory constraints, linearised (Figure 7) ---
-	mBlue := math.Min(float64(p.MBlue), Mmax*1e6)
-	mRed := math.Min(float64(p.MRed), Mmax*1e6)
+	mBlue := math.Min(float64(p.Capacity(0)), Mmax*1e6)
+	mRed := math.Min(float64(p.Capacity(1)), Mmax*1e6)
 	// (26a-d) alpha/beta definitions and (26) per-task memory bound.
 	for i := 0; i < n; i++ {
 		sum := newExpr()

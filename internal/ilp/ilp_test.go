@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,7 +10,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/mip"
 	"repro/internal/multi"
-	"repro/internal/platform"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
@@ -26,7 +26,7 @@ func twoChain(wa1, wa2, wb1, wb2 float64, file int64, comm float64) *dag.Graph {
 func TestModelSizesMatchPaperComplexity(t *testing.T) {
 	// O(m^2 + mn) variables and constraints (§4).
 	g := dag.PaperExample()
-	md, err := Build(g, platform.New(1, 1, 5, 5))
+	md, err := Build(multi.FromDual(g), multi.DualPlatform(1, 1, 5, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,15 +55,30 @@ func TestModelSizesMatchPaperComplexity(t *testing.T) {
 
 func TestBuildRejectsHugeGraphs(t *testing.T) {
 	g := dag.Chain(80, 1, 1, 1, 1)
-	if _, err := Build(g, platform.New(1, 1, 10, 10)); err == nil {
+	if _, err := Build(multi.FromDual(g), multi.DualPlatform(1, 1, 10, 10)); err == nil {
 		t.Fatal("80-task model accepted")
+	}
+}
+
+// TestBuildRejectsOtherPoolCounts checks that the model, whose b_i binary
+// picks one of two memories, refuses a 3-pool platform and a 1-pool one.
+func TestBuildRejectsOtherPoolCounts(t *testing.T) {
+	g := twoChain(1, 2, 3, 4, 1, 1)
+	three := multi.NewInstance(g, [][]float64{{1, 2, 3}, {3, 4, 5}})
+	p3 := multi.NewPlatform(multi.Pool{Procs: 1, Capacity: 10}, multi.Pool{Procs: 1, Capacity: 10}, multi.Pool{Procs: 1, Capacity: 10})
+	if _, err := Build(three, p3); err == nil || !strings.Contains(err.Error(), "needs 2 pools, got 3") {
+		t.Fatalf("3-pool platform: Build = %v", err)
+	}
+	one := multi.NewInstance(g, [][]float64{{1}, {3}})
+	if _, err := Solve(one, multi.NewPlatform(multi.Pool{Procs: 1, Capacity: 10}), mip.Options{}); err == nil || !strings.Contains(err.Error(), "needs 2 pools, got 1") {
+		t.Fatalf("1-pool platform: Solve = %v", err)
 	}
 }
 
 func TestSingleTask(t *testing.T) {
 	g := dag.New()
 	g.AddTask("only", 5, 2)
-	res, err := Solve(g, platform.New(1, 1, 1, 1), mip.Options{})
+	res, err := Solve(multi.FromDual(g), multi.DualPlatform(1, 1, 1, 1), mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +94,7 @@ func TestTwoChainPrefersFasterMemory(t *testing.T) {
 	// a: blue 1 / red 10; b: blue 2 / red 10; both on blue, no comm:
 	// makespan 3.
 	g := twoChain(1, 10, 2, 10, 1, 5)
-	res, err := Solve(g, platform.New(1, 1, 10, 10), mip.Options{})
+	res, err := Solve(multi.FromDual(g), multi.DualPlatform(1, 1, 10, 10), mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +102,7 @@ func TestTwoChainPrefersFasterMemory(t *testing.T) {
 		t.Fatalf("res = %+v", res)
 	}
 	s := res.Schedule
-	if s.MemoryOf(0) != platform.Blue || s.MemoryOf(1) != platform.Blue {
+	if s.PoolOf(0) != 0 || s.PoolOf(1) != 0 {
 		t.Fatal("tasks not both on blue")
 	}
 	if err := s.Validate(); err != nil {
@@ -99,7 +114,7 @@ func TestTwoChainCrossMemoryPaysCommunication(t *testing.T) {
 	// a: blue 1 / red 10; b: blue 10 / red 1; comm 3:
 	// split: 1 + 3 + 1 = 5; all blue: 11; all red: 11. Optimal 5.
 	g := twoChain(1, 10, 10, 1, 2, 3)
-	res, err := Solve(g, platform.New(1, 1, 10, 10), mip.Options{})
+	res, err := Solve(multi.FromDual(g), multi.DualPlatform(1, 1, 10, 10), mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +124,7 @@ func TestTwoChainCrossMemoryPaysCommunication(t *testing.T) {
 	if err := res.Schedule.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if res.Schedule.MemoryOf(0) != platform.Blue || res.Schedule.MemoryOf(1) != platform.Red {
+	if res.Schedule.PoolOf(0) != 0 || res.Schedule.PoolOf(1) != 1 {
 		t.Fatal("expected blue -> red split")
 	}
 }
@@ -118,7 +133,7 @@ func TestTwoChainMemoryBoundForcesOneMemory(t *testing.T) {
 	// Same costs as the split test, but the red memory is too small for
 	// the file: everything must stay on blue -> makespan 11.
 	g := twoChain(1, 10, 10, 1, 2, 3)
-	res, err := Solve(g, platform.New(1, 1, 10, 1), mip.Options{})
+	res, err := Solve(multi.FromDual(g), multi.DualPlatform(1, 1, 10, 1), mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +147,7 @@ func TestTwoChainMemoryBoundForcesOneMemory(t *testing.T) {
 
 func TestInfeasibleWhenNoMemoryFits(t *testing.T) {
 	g := twoChain(1, 1, 1, 1, 5, 1)
-	res, err := Solve(g, platform.New(1, 1, 2, 2), mip.Options{})
+	res, err := Solve(multi.FromDual(g), multi.DualPlatform(1, 1, 2, 2), mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +166,7 @@ func TestForkTwoChildrenResourceContention(t *testing.T) {
 	c := g.AddTask("c", 2, 2)
 	g.MustAddEdge(a, b, 1, 1)
 	g.MustAddEdge(a, c, 1, 1)
-	res, err := Solve(g, platform.New(1, 1, 10, 10), mip.Options{MaxNodes: 50000})
+	res, err := Solve(multi.FromDual(g), multi.DualPlatform(1, 1, 10, 10), mip.Options{MaxNodes: 50000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +187,12 @@ func TestILPMatchesExactSearchOnTinyInstances(t *testing.T) {
 		twoChain(3, 1, 1, 3, 2, 1),
 	}
 	for i, g := range cases {
-		p := platform.New(1, 1, 10, 10)
-		ires, err := Solve(g, p, mip.Options{MaxNodes: 50000})
+		in, p := multi.FromDual(g), multi.DualPlatform(1, 1, 10, 10)
+		ires, err := Solve(in, p, mip.Options{MaxNodes: 50000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eres, err := exact.Solve(tctx, multi.FromDual(g), multi.FromDualPlatform(p), exact.Options{})
+		eres, err := exact.Solve(tctx, in, p, exact.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,12 +212,12 @@ func TestILPNeverWorseThanExactSearch(t *testing.T) {
 	a := g.AddTask("a", 2, 2)
 	b := g.AddTask("b", 3, 3)
 	g.MustAddEdge(a, b, 2, 1)
-	p := platform.New(1, 1, 4, 4)
-	ires, err := Solve(g, p, mip.Options{MaxNodes: 50000})
+	in, p := multi.FromDual(g), multi.DualPlatform(1, 1, 4, 4)
+	ires, err := Solve(in, p, mip.Options{MaxNodes: 50000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := exact.Solve(tctx, multi.FromDual(g), multi.FromDualPlatform(p), exact.Options{})
+	eres, err := exact.Solve(tctx, in, p, exact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +239,7 @@ func TestPaperExampleILP(t *testing.T) {
 		t.Skip("full 4-task ILP solve is slow; run without -short")
 	}
 	g := dag.PaperExample()
-	res, err := Solve(g, platform.New(1, 1, 100, 100), mip.Options{
+	res, err := Solve(multi.FromDual(g), multi.DualPlatform(1, 1, 100, 100), mip.Options{
 		MaxNodes: 400, Timeout: 45 * time.Second,
 	})
 	if err != nil {
@@ -245,7 +260,7 @@ func TestPaperExampleILP(t *testing.T) {
 
 func TestDecodeRejectsOverlappingProcessors(t *testing.T) {
 	g := twoChain(1, 1, 1, 1, 1, 1)
-	md, err := Build(g, platform.New(1, 0, 10, 10))
+	md, err := Build(multi.FromDual(g), multi.DualPlatform(1, 0, 10, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,24 +7,23 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/mip"
-	"repro/internal/platform"
-	"repro/internal/schedule"
+	"repro/internal/multi"
 )
 
 // Result is the outcome of solving the ILP.
 type Result struct {
 	Status   mip.Status
-	Makespan float64            // meaningful when Status is Optimal or Feasible
-	Schedule *schedule.Schedule // decoded schedule, when available
-	Nodes    int                // branch-and-bound nodes explored
+	Makespan float64         // meaningful when Status is Optimal or Feasible
+	Schedule *multi.Schedule // decoded schedule, when available
+	Nodes    int             // branch-and-bound nodes explored
 }
 
-// Solve builds and solves the ILP for g on p, then decodes the solution into
-// a concrete schedule. The options bound the branch-and-bound effort; with a
-// hit budget the result may be Feasible (incumbent, not proven optimal) or
-// Unknown.
-func Solve(g *dag.Graph, p platform.Platform, opt mip.Options) (*Result, error) {
-	md, err := Build(g, p)
+// Solve builds and solves the ILP for in on the 2-pool platform p, then
+// decodes the solution into a concrete schedule. The options bound the
+// branch-and-bound effort; with a hit budget the result may be Feasible
+// (incumbent, not proven optimal) or Unknown.
+func Solve(in *multi.Instance, p multi.Platform, opt mip.Options) (*Result, error) {
+	md, err := Build(in, p)
 	if err != nil {
 		return nil, err
 	}
@@ -52,31 +51,32 @@ func (md *Model) Solve(opt mip.Options) (*Result, error) {
 }
 
 // Decode converts an (integral) solution vector of the model into a
-// schedule: memories come from the b variables, start times from t and tau,
-// and processor indices are reassigned greedily inside each memory (the
-// model's resource constraint (25) guarantees at most P-mu tasks of memory
-// mu overlap at any instant, so the greedy assignment always succeeds).
-func (md *Model) Decode(x []float64) (*schedule.Schedule, error) {
-	g, p := md.G, md.P
-	s := schedule.New(g, p)
+// schedule: pools come from the b variables, start times from t and tau,
+// and processor indices are reassigned greedily inside each pool's
+// ProcRange (the model's resource constraint (25) guarantees at most P-mu
+// tasks of pool mu overlap at any instant, so the greedy assignment always
+// succeeds).
+func (md *Model) Decode(x []float64) (*multi.Schedule, error) {
+	g, p := md.In.G, md.P
+	s := multi.NewSchedule(md.In, p)
 	n := g.NumTasks()
 
 	type placed struct {
 		id            dag.TaskID
 		start, finish float64
-		mem           platform.Memory
+		pool          int
 	}
 	tasks := make([]placed, n)
 	for i := 0; i < n; i++ {
-		mem := platform.Blue
+		pool := 0
 		if x[md.vB[i]] > 0.5 {
-			mem = platform.Red
+			pool = 1
 		}
 		start := x[md.vT[i]]
 		if start < 0 && start > -1e-6 {
 			start = 0
 		}
-		tasks[i] = placed{id: dag.TaskID(i), start: start, finish: start + x[md.vW[i]], mem: mem}
+		tasks[i] = placed{id: dag.TaskID(i), start: start, finish: start + x[md.vW[i]], pool: pool}
 	}
 	order := make([]int, n)
 	for i := range order {
@@ -92,7 +92,7 @@ func (md *Model) Decode(x []float64) (*schedule.Schedule, error) {
 	avail := make([]float64, p.TotalProcs())
 	for _, idx := range order {
 		t := tasks[idx]
-		lo, hi := p.ProcRange(t.mem)
+		lo, hi := p.ProcRange(t.pool)
 		best, bestAvail := -1, math.Inf(-1)
 		for proc := lo; proc < hi; proc++ {
 			if avail[proc] <= t.start+1e-6 && avail[proc] > bestAvail {
@@ -100,14 +100,14 @@ func (md *Model) Decode(x []float64) (*schedule.Schedule, error) {
 			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("ilp: no free processor on %s for task %d at t=%g", t.mem, t.id, t.start)
+			return nil, fmt.Errorf("ilp: no free processor on pool %d for task %d at t=%g", t.pool, t.id, t.start)
 		}
 		avail[best] = t.finish
-		s.Tasks[t.id] = schedule.TaskPlacement{Start: t.start, Proc: best}
+		s.Tasks[t.id] = multi.Placement{Start: t.start, Proc: best}
 	}
 	for e := 0; e < g.NumEdges(); e++ {
 		edge := g.Edge(dag.EdgeID(e))
-		if tasks[edge.From].mem != tasks[edge.To].mem {
+		if tasks[edge.From].pool != tasks[edge.To].pool {
 			s.CommStart[e] = x[md.vTau[e]]
 		}
 	}

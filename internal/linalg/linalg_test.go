@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/multi"
-	"repro/internal/platform"
 )
 
 func TestKernelTimesMatchTable1(t *testing.T) {
@@ -282,7 +281,7 @@ func TestSchedulableOnMiragePlatform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, p := multi.FromDual(g), multi.FromDualPlatform(platform.New(12, 3, 60, 60))
+		in, p := multi.FromDual(g), multi.DualPlatform(12, 3, 60, 60)
 		for name, run := range map[string]func() (*multi.Schedule, error){
 			"heft": func() (*multi.Schedule, error) { return multi.MemHEFT(tctx, in, p.Unbounded(), multi.Options{Seed: 1}) },
 			"minmin": func() (*multi.Schedule, error) {

@@ -49,7 +49,7 @@ func TestInsertionNeverWorsePerDecision(t *testing.T) {
 	// append policy's EST for every (task, pool) pair: a queue tail is
 	// always also a gap.
 	in := FromDual(dag.PaperExample())
-	p := dualPlatform(1, 1, 100, 100)
+	p := DualPlatform(1, 1, 100, 100)
 	app := NewPartial(in, p)
 	ins := NewPartial(in, p)
 	ins.ins = newInsertionState(p.TotalProcs())
@@ -89,7 +89,7 @@ func TestGoldenEquivalenceInsertionPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := FromDual(g)
-	p := dualPlatform(2, 2, 400, 400)
+	p := DualPlatform(2, 2, 400, 400)
 	got, err := MemHEFTInsertion(tctx, in, p, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)

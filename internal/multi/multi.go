@@ -44,6 +44,12 @@
 // splices. The pre-incremental eager code is retained in naive.go as
 // MemHEFTReference / MemMinMinReference, the oracles the golden-equivalence
 // tests compare against.
+//
+// The package also holds the repository's one schedule model: Schedule, its
+// Validate (the three constraint families of §3), the peak-residency sweep
+// Peaks with its tie rule Live, and the Timeline, Render and SVG output,
+// which name the pools blue and red on a 2-pool platform. The ILP oracle
+// and cmd/memsched work on these types.
 package multi
 
 import (
@@ -53,7 +59,6 @@ import (
 	"strings"
 
 	"repro/internal/dag"
-	"repro/internal/platform"
 )
 
 // rankStride is how many tasks the ranking/statics loops process between
@@ -75,18 +80,16 @@ type Platform struct {
 // NewPlatform builds a platform from pools.
 func NewPlatform(pools ...Pool) Platform { return Platform{Pools: pools} }
 
-// FromDualPlatform lifts a dual-memory platform into its 2-pool equivalent:
-// pool 0 is blue, pool 1 is red.
-func FromDualPlatform(p platform.Platform) Platform {
-	return NewPlatform(
-		Pool{Procs: p.PBlue, Capacity: p.MBlue},
-		Pool{Procs: p.PRed, Capacity: p.MRed},
-	)
+// DualPlatform builds the paper's dual-memory machine as its 2-pool case:
+// pBlue processors sharing a blue memory of capacity mBlue (pool 0) and
+// pRed processors sharing a red memory of capacity mRed (pool 1).
+func DualPlatform(pBlue, pRed int, mBlue, mRed int64) Platform {
+	return NewPlatform(Pool{Procs: pBlue, Capacity: mBlue}, Pool{Procs: pRed, Capacity: mRed})
 }
 
 // Unbounded returns the same platform with every pool's capacity unlimited.
 func (p Platform) Unbounded() Platform {
-	return p.WithUniformBounds(platform.Unlimited)
+	return p.WithUniformBounds(dag.Unlimited)
 }
 
 // WithUniformBounds returns the same platform with every pool capacity set
@@ -112,7 +115,7 @@ func (p Platform) String() string {
 			b.WriteByte(' ')
 		}
 		cap := "inf"
-		if pool.Capacity < platform.Unlimited {
+		if pool.Capacity < dag.Unlimited {
 			cap = fmt.Sprintf("%d", pool.Capacity)
 		}
 		fmt.Fprintf(&b, "%d@%s", pool.Procs, cap)

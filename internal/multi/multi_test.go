@@ -15,12 +15,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dag"
-	"repro/internal/platform"
 )
-
-func dualPlatform(pBlue, pRed int, mBlue, mRed int64) Platform {
-	return NewPlatform(Pool{pBlue, mBlue}, Pool{pRed, mRed})
-}
 
 func TestPlatformBasics(t *testing.T) {
 	p := NewPlatform(Pool{2, 10}, Pool{1, 5}, Pool{3, 7})
@@ -58,7 +53,7 @@ func TestPlatformValidate(t *testing.T) {
 func TestInstanceValidate(t *testing.T) {
 	g := dag.PaperExample()
 	in := FromDual(g)
-	if err := in.Validate(dualPlatform(1, 1, 5, 5)); err != nil {
+	if err := in.Validate(DualPlatform(1, 1, 5, 5)); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong column count.
@@ -66,12 +61,12 @@ func TestInstanceValidate(t *testing.T) {
 		t.Fatal("column mismatch accepted")
 	}
 	bad := NewInstance(g, [][]float64{{1, 1}})
-	if err := bad.Validate(dualPlatform(1, 1, 5, 5)); err == nil {
+	if err := bad.Validate(DualPlatform(1, 1, 5, 5)); err == nil {
 		t.Fatal("row mismatch accepted")
 	}
 	neg := FromDual(g)
 	neg.Times[0][0] = -1
-	if err := neg.Validate(dualPlatform(1, 1, 5, 5)); err == nil {
+	if err := neg.Validate(DualPlatform(1, 1, 5, 5)); err == nil {
 		t.Fatal("negative time accepted")
 	}
 	// ValidateMatrix checks the matrix at the width of its first row.
@@ -193,7 +188,7 @@ func TestTwoPoolMatchesCore(t *testing.T) {
 		g := randomDAG(seed, 18)
 		in := FromDual(g)
 		for _, bound := range []int64{30, 60, 1 << 40} {
-			mp := dualPlatform(2, 2, bound, bound)
+			mp := DualPlatform(2, 2, bound, bound)
 			for _, h := range []struct {
 				name string
 				fn   Func
@@ -225,29 +220,29 @@ func TestTwoPoolMatchesCore(t *testing.T) {
 	}
 }
 
-// TestTwoPoolMatchesCoreViaDualBridge checks the platform bridge:
-// FromDualPlatform lifts blue to pool 0 and red to pool 1, and the engine
-// on the lifted platform reproduces the dual engine's MemHEFT schedule of
-// the paper example, recorded below.
+// TestTwoPoolMatchesCoreViaDualBridge checks the dual constructor:
+// DualPlatform puts blue in pool 0 and red in pool 1, and the engine on its
+// platform reproduces the dual engine's MemHEFT schedule of the paper
+// example, recorded below.
 func TestTwoPoolMatchesCoreViaDualBridge(t *testing.T) {
-	lifted := FromDualPlatform(platform.New(1, 2, 4, 5))
-	if !slices.Equal(lifted.Pools, []Pool{{1, 4}, {2, 5}}) {
-		t.Fatalf("FromDualPlatform lifted (1, 2, 4, 5) to %v", lifted.Pools)
+	dual := DualPlatform(1, 2, 4, 5)
+	if !slices.Equal(dual.Pools, []Pool{{1, 4}, {2, 5}}) {
+		t.Fatalf("DualPlatform(1, 2, 4, 5) built %v", dual.Pools)
 	}
-	ms, err := MemHEFT(tctx, FromDual(dag.PaperExample()), FromDualPlatform(platform.New(1, 1, 4, 4)), Options{Seed: 1})
+	ms, err := MemHEFT(tctx, FromDual(dag.PaperExample()), DualPlatform(1, 1, 4, 4), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dual := []Placement{{0, 1}, {1, 1}, {2, 0}, {9, 0}}
-	for i := range dual {
-		if ms.Tasks[i] != dual[i] {
-			t.Fatalf("task %d: dual %+v vs lifted %+v", i, dual[i], ms.Tasks[i])
+	want := []Placement{{0, 1}, {1, 1}, {2, 0}, {9, 0}}
+	for i := range want {
+		if ms.Tasks[i] != want[i] {
+			t.Fatalf("task %d: dual %+v vs k-pool %+v", i, want[i], ms.Tasks[i])
 		}
 	}
-	dualComm := []float64{math.NaN(), 1, 8, math.NaN()}
-	for e, dc := range dualComm {
+	wantComm := []float64{math.NaN(), 1, 8, math.NaN()}
+	for e, dc := range wantComm {
 		if mc := ms.CommStart[e]; mc != dc && !(math.IsNaN(dc) && math.IsNaN(mc)) {
-			t.Fatalf("comm %d: dual %g vs lifted %g", e, dc, mc)
+			t.Fatalf("comm %d: dual %g vs k-pool %g", e, dc, mc)
 		}
 	}
 }
@@ -342,7 +337,7 @@ func TestMoreMemoriesCanBeatTwo(t *testing.T) {
 	}
 	in3 := NewInstance(g, times)
 
-	p2 := dualPlatform(1, 1, 24, 24)
+	p2 := DualPlatform(1, 1, 24, 24)
 	_, err2 := MemHEFT(tctx, in2, p2, Options{Seed: 1})
 	p3 := NewPlatform(Pool{1, 24}, Pool{1, 24}, Pool{1, 24})
 	s3, err3 := MemHEFT(tctx, in3, p3, Options{Seed: 1})
@@ -358,7 +353,7 @@ func TestMoreMemoriesCanBeatTwo(t *testing.T) {
 func TestScheduleAccessors(t *testing.T) {
 	g := dag.PaperExample()
 	in := FromDual(g)
-	p := dualPlatform(1, 1, 100, 100)
+	p := DualPlatform(1, 1, 100, 100)
 	s, err := MemMinMin(tctx, in, p, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +373,7 @@ func TestScheduleAccessors(t *testing.T) {
 func TestHeuristicsFailCleanlyOnTinyMemory(t *testing.T) {
 	g := dag.PaperExample()
 	in := FromDual(g)
-	p := dualPlatform(1, 1, 2, 2)
+	p := DualPlatform(1, 1, 2, 2)
 	if _, err := MemHEFT(tctx, in, p, Options{}); !errors.Is(err, ErrMemoryBound) {
 		t.Fatalf("MemHEFT err = %v", err)
 	}

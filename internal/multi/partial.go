@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/memfn"
-	"repro/internal/platform"
 )
 
 // Partial is the k-pool partial schedule under construction: the
@@ -41,7 +40,7 @@ import (
 //     query on k reaches (see forget). On [c, +inf) the window equals the
 //     whole staircase, and c never decreases, so every query answers as on
 //     the whole history while costing O(log l) in the window's length l;
-//   - pools with capacity >= platform.Unlimited skip staircase maintenance
+//   - pools with capacity >= dag.Unlimited skip staircase maintenance
 //     entirely, turning the memory-oblivious HEFT/MinMin variants into pure
 //     list schedulers.
 //
@@ -185,7 +184,7 @@ func (st *Partial) reset(in *Instance, p Platform, gs *instanceStatics) {
 		} else {
 			st.free[j].Reset(pool.Capacity)
 		}
-		st.unbounded[j] = pool.Capacity >= platform.Unlimited
+		st.unbounded[j] = pool.Capacity >= dag.Unlimited
 	}
 
 	st.availProc = resize(st.availProc, lo)

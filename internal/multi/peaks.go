@@ -1,4 +1,4 @@
-package schedule
+package multi
 
 import (
 	"math"
@@ -6,20 +6,34 @@ import (
 	"repro/internal/dag"
 )
 
-// Span is one task's execution as the residency model sees it: the memory
+// Eps is the tolerance used for floating-point comparisons between event
+// times. All paper instances use integral times, so the tolerance only
+// absorbs accumulated rounding in long schedules.
+const Eps = 1e-9
+
+// span is one task's execution as the residency model sees it: the memory
 // pool that holds the task's files and the interval the task runs on.
-type Span struct {
+type span struct {
 	Pool          int
 	Start, Finish float64
+}
+
+// Live reports whether a file resident on the half-open interval [from, to)
+// occupies its memory at time t: it is acquired by t+Eps and not released
+// by t+Eps. Every memory check of the model — Validate and Peaks — applies
+// this one rule.
+func Live(from, to, t float64) bool {
+	x := t + Eps
+	return from <= x && to > x
 }
 
 // Peaks returns the peak residency of each of the pools memories of a
 // schedule of g whose task i runs as spans[i] and whose cross-pool edge e
 // starts its transfer at commStart[e] (ignored for intra-pool edges). It is
-// the single implementation behind both schedule types' MemoryPeaks.
+// the implementation behind Schedule.MemoryPeaks.
 //
 // Tie rule: a file counts at time t when it is Live at t — acquired by
-// t+Eps and not released by t+Eps — the rule UsageAt and Validate apply. A
+// t+Eps and not released by t+Eps — the rule Validate applies. A
 // file acquired within Eps after t is already counted at t, and one
 // released within Eps after t is already gone. The peak of a pool is its
 // largest usage at an instant where some file is acquired, so it does not
@@ -36,7 +50,7 @@ type Span struct {
 // or before an instant, and one sweep over the two time-sorted event lists
 // evaluates it at every acquisition. That sorts about 2n + 2·(cross edges)
 // events instead of two per file residency.
-func Peaks(g *dag.Graph, spans []Span, commStart []float64, pools int) []int64 {
+func Peaks(g *dag.Graph, spans []span, commStart []float64, pools int) []int64 {
 	acqs, rels := eventLists(g, spans, pools)
 	acquire := make([]int64, len(spans)) // files task i acquires at its start
 	release := make([]int64, len(spans)) // files task i releases at its finish
@@ -95,7 +109,7 @@ type event struct {
 // carved from one allocation with room for every event Peaks can add: a
 // pool acquires at most once per task on it and once per edge into such a
 // task, and releases at most once per task and once per edge out of one.
-func eventLists(g *dag.Graph, spans []Span, pools int) (acqs, rels [][]event) {
+func eventLists(g *dag.Graph, spans []span, pools int) (acqs, rels [][]event) {
 	nAcq := make([]int, pools)
 	nRel := make([]int, pools)
 	for i, sp := range spans {

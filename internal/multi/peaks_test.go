@@ -1,4 +1,4 @@
-package schedule
+package multi
 
 import (
 	"math"
@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/daggen"
-	"repro/internal/platform"
 )
 
 // TestSortByTime checks the radix sort against slices.Sort on times that
@@ -92,14 +91,14 @@ func TestPeaksMatchLiveRuleOnArbitrarySchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := New(g, platform.New(n, n, platform.Unlimited, platform.Unlimited))
+		s := NewSchedule(FromDual(g), DualPlatform(n, n, dag.Unlimited, dag.Unlimited))
 		holes := seed%3 == 0
 		for _, id := range order {
 			proc := int(id) // blue processor id, or red processor n+id
 			if rng.IntN(2) == 0 {
 				proc += n
 			}
-			s.Tasks[id] = TaskPlacement{Start: 0, Proc: proc}
+			s.Tasks[id] = Placement{Start: 0, Proc: proc}
 			start := tick(rng.IntN(6))
 			for _, e := range g.In(id) {
 				ready := s.Finish(g.Edge(e).From)
@@ -119,7 +118,7 @@ func TestPeaksMatchLiveRuleOnArbitrarySchedules(t *testing.T) {
 				degenerate++
 			}
 		}
-		blue, red := s.MemoryPeaks()
+		blue, red := s.MemoryPeaks()[0], s.MemoryPeaks()[1]
 		want := liveRulePeaks(s)
 		if blue != want[0] || red != want[1] {
 			t.Fatalf("seed %d: MemoryPeaks = (%d,%d), live rule %v", seed, blue, red, want)
@@ -127,7 +126,7 @@ func TestPeaksMatchLiveRuleOnArbitrarySchedules(t *testing.T) {
 		if holes {
 			continue
 		}
-		s.Platform = platform.New(n, n, blue, red)
+		s.Platform = DualPlatform(n, n, blue, red)
 		if err := s.Validate(); err != nil {
 			t.Fatalf("seed %d: rejected at its own peaks (%d,%d): %v", seed, blue, red, err)
 		}
@@ -137,9 +136,9 @@ func TestPeaksMatchLiveRuleOnArbitrarySchedules(t *testing.T) {
 			}
 			bounds := want
 			bounds[m]--
-			s.Platform = platform.New(n, n, bounds[0], bounds[1])
+			s.Platform = DualPlatform(n, n, bounds[0], bounds[1])
 			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "over capacity") {
-				t.Fatalf("seed %d: %s memory %d below its peak: Validate = %v", seed, platform.Memory(m), bounds[m], err)
+				t.Fatalf("seed %d: pool %d capacity %d below its peak: Validate = %v", seed, m, bounds[m], err)
 			}
 		}
 	}
@@ -160,11 +159,11 @@ func liveRulePeaks(s *Schedule) [2]int64 {
 		}
 		var usage int64
 		for _, o := range rs {
-			if o.mem == r.mem && Live(o.from, o.to, r.from) {
+			if o.pool == r.pool && Live(o.from, o.to, r.from) {
 				usage += o.size
 			}
 		}
-		peaks[r.mem] = max(peaks[r.mem], usage)
+		peaks[r.pool] = max(peaks[r.pool], usage)
 	}
 	return peaks
 }

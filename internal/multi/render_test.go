@@ -1,11 +1,10 @@
-package schedule
+package multi
 
 import (
 	"strings"
 	"testing"
 
 	"repro/internal/dag"
-	"repro/internal/platform"
 )
 
 func TestSVGContainsAllElements(t *testing.T) {
@@ -44,11 +43,11 @@ func TestSVGZeroDurationTasksVisible(t *testing.T) {
 	c := g.AddTask("c", 1, 1)
 	g.MustAddEdge(a, b, 1, 0)
 	g.MustAddEdge(b, c, 1, 0)
-	p := platform.New(1, 0, 10, 0)
-	s := New(g, p)
-	s.Tasks[0] = TaskPlacement{Start: 0, Proc: 0}
-	s.Tasks[1] = TaskPlacement{Start: 1, Proc: 0}
-	s.Tasks[2] = TaskPlacement{Start: 1, Proc: 0}
+	p := DualPlatform(1, 0, 10, 0)
+	s := NewSchedule(FromDual(g), p)
+	s.Tasks[0] = Placement{Start: 0, Proc: 0}
+	s.Tasks[1] = Placement{Start: 1, Proc: 0}
+	s.Tasks[2] = Placement{Start: 1, Proc: 0}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestSVGZeroDurationTasksVisible(t *testing.T) {
 
 func TestSVGEmptyScheduleDoesNotPanic(t *testing.T) {
 	g := dag.New()
-	s := New(g, platform.New(1, 1, 1, 1))
+	s := NewSchedule(FromDual(g), DualPlatform(1, 1, 1, 1))
 	svg := s.SVG()
 	if !strings.Contains(svg, "</svg>") {
 		t.Fatal("bad SVG for empty schedule")

@@ -4,7 +4,7 @@ import (
 	"context"
 	"math"
 
-	"repro/internal/platform"
+	"repro/internal/dag"
 )
 
 // Trace records the committed placement sequence of one heuristic run so a
@@ -57,8 +57,8 @@ func ReplayEligible(prev, next Platform) bool {
 			return false
 		}
 		pc, nc := prev.Pools[k].Capacity, next.Pools[k].Capacity
-		if nc >= platform.Unlimited {
-			if pc < platform.Unlimited {
+		if nc >= dag.Unlimited {
+			if pc < dag.Unlimited {
 				return false
 			}
 			continue
@@ -205,10 +205,10 @@ func (st *Partial) recordStep(rec *Trace, c Candidate) {
 // were never captured, so it degrades to -1 (blocks FullReplayOn forever,
 // which is safe: margins are never negative when known).
 func prefixMargin(prevCap, nextCap, margin int64) int64 {
-	if nextCap >= platform.Unlimited {
+	if nextCap >= dag.Unlimited {
 		return margin // nothing shrank (eligibility: prevCap is unlimited too)
 	}
-	if prevCap >= platform.Unlimited {
+	if prevCap >= dag.Unlimited {
 		return -1
 	}
 	return margin - (prevCap - nextCap)
@@ -242,10 +242,10 @@ func (tr *Trace) FullReplayOn(next Platform) bool {
 
 // marginOK is the per-pool margin check of FullReplayOn.
 func marginOK(prevCap, nextCap, margin int64) bool {
-	if nextCap >= platform.Unlimited {
+	if nextCap >= dag.Unlimited {
 		return true // eligibility guarantees prevCap is unlimited too
 	}
-	if prevCap >= platform.Unlimited {
+	if prevCap >= dag.Unlimited {
 		return false // a bounded run of an unbounded recording must verify per step
 	}
 	return prevCap-nextCap <= margin

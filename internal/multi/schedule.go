@@ -8,12 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/dag"
-	"repro/internal/schedule"
 )
-
-// Eps is the float tolerance for event-time comparisons, the one the
-// dual-memory model uses.
-const Eps = schedule.Eps
 
 // Placement records where and when one task runs.
 type Placement struct {
@@ -86,12 +81,20 @@ func (s *Schedule) IsCross(e dag.EdgeID) bool {
 	return s.PoolOf(edge.From) != s.PoolOf(edge.To)
 }
 
+// residency is one interval during which a file occupies one pool.
 type residency struct {
 	pool     int
 	from, to float64
 	size     int64
 }
 
+// residencies expands the schedule into the file-residency intervals of
+// the model of §3.2:
+//
+//   - an intra-pool edge (j,i) occupies pool(j) on [sigma(j), finish(i));
+//   - a cross edge occupies pool(j) on [sigma(j), tau+C) — the source copy
+//     is discarded when the transfer completes — and pool(i) on
+//     [tau, finish(i)).
 func (s *Schedule) residencies() []residency {
 	g := s.Inst.G
 	var rs []residency
@@ -115,21 +118,24 @@ func (s *Schedule) residencies() []residency {
 }
 
 // MemoryPeaks returns the peak usage of every pool: the largest usage at
-// any instant a file is acquired, under the tie rule of schedule.Peaks — a
-// file counts at t when it is acquired by t+Eps and released after t+Eps,
-// the rule Validate applies — so the result does not depend on the order of
-// the graph's edges.
+// any instant a file is acquired, under the tie rule of Peaks — a file
+// counts at t when it is acquired by t+Eps and released after t+Eps, the
+// rule Validate applies — so the result does not depend on the order of the
+// graph's edges.
 func (s *Schedule) MemoryPeaks() []int64 {
-	spans := make([]schedule.Span, len(s.Tasks))
+	spans := make([]span, len(s.Tasks))
 	for i := range s.Tasks {
 		id := dag.TaskID(i)
-		spans[i] = schedule.Span{Pool: s.PoolOf(id), Start: s.Tasks[i].Start, Finish: s.Finish(id)}
+		spans[i] = span{Pool: s.PoolOf(id), Start: s.Tasks[i].Start, Finish: s.Finish(id)}
 	}
-	return schedule.Peaks(s.Inst.G, spans, s.CommStart, s.Platform.NumPools())
+	return Peaks(s.Inst.G, spans, s.CommStart, s.Platform.NumPools())
 }
 
-// Validate checks completeness, flow, resource and per-pool memory
-// constraints, mirroring the dual-memory validator.
+// Validate checks that the schedule satisfies every constraint of the
+// model of §3: completeness, flow dependencies (with communications),
+// processor exclusivity, and the memory capacity of every pool. It returns
+// nil for a valid schedule and a descriptive error for the first violation
+// found.
 func (s *Schedule) Validate() error {
 	g, p := s.Inst.G, s.Platform
 	if err := p.Validate(); err != nil {
@@ -137,6 +143,10 @@ func (s *Schedule) Validate() error {
 	}
 	if err := s.Inst.Validate(p); err != nil {
 		return err
+	}
+	if len(s.Tasks) != g.NumTasks() || len(s.CommStart) != g.NumEdges() {
+		return fmt.Errorf("multi: schedule has %d placements and %d comm starts for a graph of %d tasks and %d edges",
+			len(s.Tasks), len(s.CommStart), g.NumTasks(), g.NumEdges())
 	}
 	for i := range s.Tasks {
 		pl := s.Tasks[i]
@@ -186,7 +196,7 @@ func (s *Schedule) Validate() error {
 	return s.checkMemory(s.residencies())
 }
 
-// checkMemory checks every pool's usage where schedule.Peaks evaluates it,
+// checkMemory checks every pool's usage where Peaks evaluates it,
 // at the start of every residency with from <= to, and reports the first
 // such residency, in rs order, whose pool is over capacity. The usage at t
 // is the size of the residencies Live at t. Only residencies with

@@ -1,4 +1,4 @@
-package schedule
+package multi
 
 import (
 	"math"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dag"
-	"repro/internal/platform"
 )
 
 // paperS1 builds schedule s1 of Figure 3 on a 1 blue + 1 red platform:
@@ -15,12 +14,12 @@ import (
 // The paper works out: makespan 6, blue peak 2, red peak 5.
 func paperS1(mBlue, mRed int64) *Schedule {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, mBlue, mRed)
-	s := New(g, p)
-	s.Tasks[0] = TaskPlacement{Start: 0, Proc: 1} // T1 red
-	s.Tasks[1] = TaskPlacement{Start: 2, Proc: 0} // T2 blue
-	s.Tasks[2] = TaskPlacement{Start: 1, Proc: 1} // T3 red
-	s.Tasks[3] = TaskPlacement{Start: 5, Proc: 1} // T4 red
+	p := DualPlatform(1, 1, mBlue, mRed)
+	s := NewSchedule(FromDual(g), p)
+	s.Tasks[0] = Placement{Start: 0, Proc: 1} // T1 red
+	s.Tasks[1] = Placement{Start: 2, Proc: 0} // T2 blue
+	s.Tasks[2] = Placement{Start: 1, Proc: 1} // T3 red
+	s.Tasks[3] = Placement{Start: 5, Proc: 1} // T4 red
 	e12, _ := g.EdgeBetween(0, 1)
 	e24, _ := g.EdgeBetween(1, 3)
 	s.CommStart[e12.ID] = 1
@@ -34,17 +33,43 @@ func paperS1(mBlue, mRed int64) *Schedule {
 // [2,4), T4 red [6,7), comm (T1,T2) at 1, comm (T2,T4) at 5.
 func paperS2(mBlue, mRed int64) *Schedule {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, mBlue, mRed)
-	s := New(g, p)
-	s.Tasks[0] = TaskPlacement{Start: 0, Proc: 1}
-	s.Tasks[1] = TaskPlacement{Start: 2, Proc: 0}
-	s.Tasks[2] = TaskPlacement{Start: 2, Proc: 1}
-	s.Tasks[3] = TaskPlacement{Start: 6, Proc: 1}
+	p := DualPlatform(1, 1, mBlue, mRed)
+	s := NewSchedule(FromDual(g), p)
+	s.Tasks[0] = Placement{Start: 0, Proc: 1}
+	s.Tasks[1] = Placement{Start: 2, Proc: 0}
+	s.Tasks[2] = Placement{Start: 2, Proc: 1}
+	s.Tasks[3] = Placement{Start: 6, Proc: 1}
 	e12, _ := g.EdgeBetween(0, 1)
 	e24, _ := g.EdgeBetween(1, 3)
 	s.CommStart[e12.ID] = 1
 	s.CommStart[e24.ID] = 5
 	return s
+}
+
+// usageAt returns the usage of pool k at time t: the size of the
+// residencies Live at t.
+func usageAt(s *Schedule, k int, t float64) int64 {
+	var sum int64
+	for _, r := range s.residencies() {
+		if r.pool == k && Live(r.from, r.to, t) {
+			sum += r.size
+		}
+	}
+	return sum
+}
+
+// TestValidateRejectsShapeMismatch hands Validate schedules whose slices do
+// not match the graph: it must report the mismatch, not index past them.
+func TestValidateRejectsShapeMismatch(t *testing.T) {
+	short := paperS1(5, 5)
+	short.Tasks = short.Tasks[:2]
+	noComm := paperS1(5, 5)
+	noComm.CommStart = noComm.CommStart[:1]
+	for name, s := range map[string]*Schedule{"short Tasks": short, "short CommStart": noComm} {
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "for a graph of 4 tasks and 4 edges") {
+			t.Fatalf("%s: Validate = %v", name, err)
+		}
+	}
 }
 
 func TestS1MatchesPaperNumbers(t *testing.T) {
@@ -55,7 +80,7 @@ func TestS1MatchesPaperNumbers(t *testing.T) {
 	if ms := s.Makespan(); ms != 6 {
 		t.Fatalf("makespan = %g, want 6", ms)
 	}
-	blue, red := s.MemoryPeaks()
+	blue, red := s.MemoryPeaks()[0], s.MemoryPeaks()[1]
 	if blue != 2 || red != 5 {
 		t.Fatalf("peaks = (%d,%d), want (2,5)", blue, red)
 	}
@@ -65,16 +90,16 @@ func TestS1UsageAtKeyInstants(t *testing.T) {
 	s := paperS1(5, 5)
 	// Paper §3.2: RedMemUsed(T1)=3, BlueMemUsed(T2)=2, RedMemUsed(T3)=5,
 	// RedMemUsed(T4)=3.
-	if got := s.UsageAt(platform.Red, 0); got != 3 {
+	if got := usageAt(s, 1, 0); got != 3 {
 		t.Fatalf("red usage at T1 start = %d, want 3", got)
 	}
-	if got := s.UsageAt(platform.Blue, 2); got != 2 {
+	if got := usageAt(s, 0, 2); got != 2 {
 		t.Fatalf("blue usage at T2 start = %d, want 2", got)
 	}
-	if got := s.UsageAt(platform.Red, 1); got != 5 {
+	if got := usageAt(s, 1, 1); got != 5 {
 		t.Fatalf("red usage at T3 start = %d, want 5", got)
 	}
-	if got := s.UsageAt(platform.Red, 5); got != 3 {
+	if got := usageAt(s, 1, 5); got != 3 {
 		t.Fatalf("red usage at T4 start = %d, want 3", got)
 	}
 }
@@ -86,7 +111,7 @@ func TestS1RejectedUnderTighterBound(t *testing.T) {
 	if err == nil {
 		t.Fatal("s1 accepted with M=(4,4)")
 	}
-	if !strings.Contains(err.Error(), "red memory over capacity") {
+	if !strings.Contains(err.Error(), "pool 1 over capacity") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
@@ -99,7 +124,7 @@ func TestS2ValidWithMemoryFourAndMakespanSeven(t *testing.T) {
 	if ms := s.Makespan(); ms != 7 {
 		t.Fatalf("makespan = %g, want 7", ms)
 	}
-	blue, red := s.MemoryPeaks()
+	blue, red := s.MemoryPeaks()[0], s.MemoryPeaks()[1]
 	if blue > 4 || red > 4 {
 		t.Fatalf("peaks = (%d,%d), want <= 4", blue, red)
 	}
@@ -125,7 +150,7 @@ func TestValidateCatchesResourceOverlap(t *testing.T) {
 	s := paperS1(5, 5)
 	s.Tasks[1].Proc = 1  // move T2 to red: overlaps T3 [1,4)
 	s.Tasks[1].Start = 2 // [2,4)
-	e12, _ := s.Graph.EdgeBetween(0, 1)
+	e12, _ := s.Inst.G.EdgeBetween(0, 1)
 	s.CommStart[e12.ID] = math.NaN() // now intra-memory
 	if err := s.Validate(); err == nil {
 		t.Fatal("processor overlap accepted")
@@ -137,7 +162,7 @@ func TestValidateCatchesResourceOverlap(t *testing.T) {
 
 func TestValidateCatchesCommBeforeProducer(t *testing.T) {
 	s := paperS1(5, 5)
-	e12, _ := s.Graph.EdgeBetween(0, 1)
+	e12, _ := s.Inst.G.EdgeBetween(0, 1)
 	s.CommStart[e12.ID] = 0.5 // producer T1 finishes at 1
 	if err := s.Validate(); err == nil {
 		t.Fatal("early communication accepted")
@@ -146,7 +171,7 @@ func TestValidateCatchesCommBeforeProducer(t *testing.T) {
 
 func TestValidateCatchesMissingCommStart(t *testing.T) {
 	s := paperS1(5, 5)
-	e12, _ := s.Graph.EdgeBetween(0, 1)
+	e12, _ := s.Inst.G.EdgeBetween(0, 1)
 	s.CommStart[e12.ID] = math.NaN()
 	if err := s.Validate(); err == nil {
 		t.Fatal("missing communication start accepted")
@@ -155,7 +180,7 @@ func TestValidateCatchesMissingCommStart(t *testing.T) {
 
 func TestValidateCatchesUnassignedTask(t *testing.T) {
 	g := dag.PaperExample()
-	s := New(g, platform.New(1, 1, 10, 10))
+	s := NewSchedule(FromDual(g), DualPlatform(1, 1, 10, 10))
 	if err := s.Validate(); err == nil {
 		t.Fatal("empty schedule accepted")
 	}
@@ -182,24 +207,18 @@ func TestDurationAndFinish(t *testing.T) {
 	}
 }
 
-func TestMemoryOfAndIsCross(t *testing.T) {
+func TestPoolOfAndIsCross(t *testing.T) {
 	s := paperS1(5, 5)
-	if s.MemoryOf(0) != platform.Red || s.MemoryOf(1) != platform.Blue {
-		t.Fatal("MemoryOf wrong")
+	if s.PoolOf(0) != 1 || s.PoolOf(1) != 0 {
+		t.Fatal("PoolOf wrong")
 	}
-	e12, _ := s.Graph.EdgeBetween(0, 1)
-	e13, _ := s.Graph.EdgeBetween(0, 2)
+	e12, _ := s.Inst.G.EdgeBetween(0, 1)
+	e13, _ := s.Inst.G.EdgeBetween(0, 2)
 	if !s.IsCross(e12.ID) {
 		t.Fatal("edge T1->T2 should cross")
 	}
 	if s.IsCross(e13.ID) {
 		t.Fatal("edge T1->T3 should not cross")
-	}
-	if c := s.CommDuration(e12.ID); c != 1 {
-		t.Fatalf("CommDuration cross = %g", c)
-	}
-	if c := s.CommDuration(e13.ID); c != 0 {
-		t.Fatalf("CommDuration intra = %g", c)
 	}
 }
 
@@ -210,11 +229,11 @@ func TestZeroDurationTasksDoNotConflict(t *testing.T) {
 	c := g.AddTask("c", 1, 1)
 	g.MustAddEdge(a, b, 1, 0)
 	g.MustAddEdge(b, c, 1, 0)
-	p := platform.New(1, 0, 10, 10)
-	s := New(g, p)
-	s.Tasks[a] = TaskPlacement{Start: 0, Proc: 0}
-	s.Tasks[b] = TaskPlacement{Start: 0, Proc: 0}
-	s.Tasks[c] = TaskPlacement{Start: 0, Proc: 0}
+	p := DualPlatform(1, 0, 10, 10)
+	s := NewSchedule(FromDual(g), p)
+	s.Tasks[a] = Placement{Start: 0, Proc: 0}
+	s.Tasks[b] = Placement{Start: 0, Proc: 0}
+	s.Tasks[c] = Placement{Start: 0, Proc: 0}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("zero-duration stacking rejected: %v", err)
 	}
@@ -256,7 +275,7 @@ func TestRenderMentionsPeaksAndMakespan(t *testing.T) {
 }
 
 func TestUnboundedPlatformAlwaysFitsMemory(t *testing.T) {
-	s := paperS1(platform.Unlimited, platform.Unlimited)
+	s := paperS1(dag.Unlimited, dag.Unlimited)
 	if err := s.Validate(); err != nil {
 		t.Fatalf("unbounded platform rejected: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dag"
-	"repro/internal/schedule"
 )
 
 // checkMemoryQuadratic is the memory check Validate made before the sweep:
@@ -19,7 +18,7 @@ func (s *Schedule) checkMemoryQuadratic(rs []residency) error {
 		}
 		var usage int64
 		for _, o := range rs {
-			if o.pool == r.pool && schedule.Live(o.from, o.to, r.from) {
+			if o.pool == r.pool && Live(o.from, o.to, r.from) {
 				usage += o.size
 			}
 		}

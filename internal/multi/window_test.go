@@ -10,7 +10,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/memfn"
-	"repro/internal/platform"
 )
 
 // The staircase window (Partial.forget) only drops pieces once a staircase
@@ -101,7 +100,7 @@ func TestWindowMatchesReferenceAtScale(t *testing.T) {
 				}
 				pools := make([]Pool, k)
 				for j := range pools {
-					pools[j] = Pool{Procs: 1 + (j+n)%3, Capacity: platform.Unlimited}
+					pools[j] = Pool{Procs: 1 + (j+n)%3, Capacity: dag.Unlimited}
 				}
 				unbounded := NewPlatform(pools...)
 				ref, err := MemHEFT(tctx, in, unbounded, Options{Seed: seed})

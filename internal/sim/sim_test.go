@@ -9,14 +9,13 @@ import (
 	"repro/internal/dag"
 	"repro/internal/linalg"
 	"repro/internal/multi"
-	"repro/internal/platform"
 )
 
 func TestRunPaperExampleUnlimited(t *testing.T) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, platform.Unlimited, platform.Unlimited)
+	p := multi.DualPlatform(1, 1, dag.Unlimited, dag.Unlimited)
 	for _, pol := range []Policy{RankPolicy, EFTPolicy} {
-		res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: pol})
+		res, err := Run(tctx, multi.FromDual(g), p, Options{Policy: pol})
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -32,8 +31,8 @@ func TestRunPaperExampleUnlimited(t *testing.T) {
 func TestRunRespectsMemoryBounds(t *testing.T) {
 	g := dag.PaperExample()
 	for _, m := range []int64{5, 6, 8} {
-		p := platform.New(1, 1, m, m)
-		res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: RankPolicy})
+		p := multi.DualPlatform(1, 1, m, m)
+		res, err := Run(tctx, multi.FromDual(g), p, Options{Policy: RankPolicy})
 		if err != nil {
 			continue // online admission can be stricter than static
 		}
@@ -46,8 +45,8 @@ func TestRunRespectsMemoryBounds(t *testing.T) {
 
 func TestRunStuckOnTinyMemory(t *testing.T) {
 	g := dag.PaperExample()
-	p := platform.New(1, 1, 2, 2)
-	_, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{})
+	p := multi.DualPlatform(1, 1, 2, 2)
+	_, err := Run(tctx, multi.FromDual(g), p, Options{})
 	if !errors.Is(err, ErrStuck) {
 		t.Fatalf("err = %v, want ErrStuck", err)
 	}
@@ -55,8 +54,8 @@ func TestRunStuckOnTinyMemory(t *testing.T) {
 
 func TestRunChainSerialises(t *testing.T) {
 	g := dag.Chain(5, 2, 2, 1, 1)
-	p := platform.New(1, 0, 10, 0)
-	res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: EFTPolicy})
+	p := multi.DualPlatform(1, 0, 10, 0)
+	res, err := Run(tctx, multi.FromDual(g), p, Options{Policy: EFTPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +70,8 @@ func TestTransfersStartEagerly(t *testing.T) {
 	a := g.AddTask("a", 1, 5)
 	b := g.AddTask("b", 9, 1) // wants red
 	g.MustAddEdge(a, b, 1, 3)
-	p := platform.New(1, 1, 10, 10)
-	res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: EFTPolicy})
+	p := multi.DualPlatform(1, 1, 10, 10)
+	res, err := Run(tctx, multi.FromDual(g), p, Options{Policy: EFTPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +90,12 @@ func TestPolicyDifferencesShowUp(t *testing.T) {
 	// On a wide heterogeneous graph the two policies generally disagree
 	// somewhere; at minimum both must emit valid schedules.
 	g := randomDAG(5, 40)
-	p := platform.New(2, 2, platform.Unlimited, platform.Unlimited)
-	r1, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: RankPolicy})
+	p := multi.DualPlatform(2, 2, dag.Unlimited, dag.Unlimited)
+	r1, err := Run(tctx, multi.FromDual(g), p, Options{Policy: RankPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: EFTPolicy})
+	r2, err := Run(tctx, multi.FromDual(g), p, Options{Policy: EFTPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +108,9 @@ func TestPropertyOnlineSchedulesValidate(t *testing.T) {
 	f := func(seed int64, rawBound uint16) bool {
 		g := randomDAG(seed, 20)
 		bound := int64(rawBound%300) + 20
-		p := platform.New(2, 2, bound, bound)
+		p := multi.DualPlatform(2, 2, bound, bound)
 		for _, pol := range []Policy{RankPolicy, EFTPolicy} {
-			res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: pol})
+			res, err := Run(tctx, multi.FromDual(g), p, Options{Policy: pol})
 			if err != nil {
 				if !errors.Is(err, ErrStuck) {
 					return false
@@ -141,12 +140,12 @@ func TestOnlineVsStaticOnLU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := platform.New(12, 3, 200, 200)
-	static, err := multi.MemMinMin(tctx, multi.FromDual(g), multi.FromDualPlatform(p), multi.Options{Seed: 1})
+	p := multi.DualPlatform(12, 3, 200, 200)
+	static, err := multi.MemMinMin(tctx, multi.FromDual(g), p, multi.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	online, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(p), Options{Policy: EFTPolicy})
+	online, err := Run(tctx, multi.FromDual(g), p, Options{Policy: EFTPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestOnlineVsStaticOnLU(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := dag.New()
-	res, err := Run(tctx, multi.FromDual(g), multi.FromDualPlatform(platform.New(1, 1, 1, 1)), Options{})
+	res, err := Run(tctx, multi.FromDual(g), multi.DualPlatform(1, 1, 1, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

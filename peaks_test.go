@@ -11,8 +11,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/multi"
-	"repro/internal/platform"
-	"repro/internal/schedule"
 )
 
 // TestMemoryPeaksIndependentOfEdgeOrder pins the tie rule of MemoryPeaks on
@@ -22,10 +20,9 @@ import (
 // 3 finishes at 1.2e-9; task 2 starts at 0 with 5 units and task 1 at
 // 0.6e-9 with 3, both held to t=2. At t=0 all three files are acquired by
 // t+Eps and none is released by then, so the live rule gives a blue peak
-// of 12 whatever order the edges were added in, on the dual and the 2-pool
-// schedule alike. A comparator that orders events within Eps by their
-// sign instead is not a strict weak ordering, and reported 12, 9 or 8
-// here depending on the edge order alone.
+// of 12 whatever order the edges were added in. A comparator that orders
+// events within Eps by their sign instead is not a strict weak ordering,
+// and reported 12, 9 or 8 here depending on the edge order alone.
 func TestMemoryPeaksIndependentOfEdgeOrder(t *testing.T) {
 	type file struct {
 		from, to dag.TaskID
@@ -34,7 +31,7 @@ func TestMemoryPeaksIndependentOfEdgeOrder(t *testing.T) {
 	files := []file{{0, 3, 4}, {1, 4, 3}, {2, 5, 5}}
 	work := []float64{0, 0, 0, 1.2e-9, 1, 1}
 	starts := []float64{0, 0.6e-9, 0, 0, 1, 1}
-	p := platform.New(len(work), 0, Unlimited, Unlimited)
+	p := NewDualPlatform(len(work), 0, Unlimited, Unlimited)
 	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
 		g := dag.New()
 		for i, w := range work {
@@ -43,23 +40,12 @@ func TestMemoryPeaksIndependentOfEdgeOrder(t *testing.T) {
 		for _, k := range order {
 			g.MustAddEdge(files[k].from, files[k].to, files[k].size, 1)
 		}
-		s := schedule.New(g, p)
-		ms := multi.NewSchedule(multi.FromDual(g), multi.FromDualPlatform(p))
+		ms := multi.NewSchedule(multi.FromDual(g), p)
 		for i, st := range starts {
-			s.Tasks[i] = schedule.TaskPlacement{Start: st, Proc: i}
 			ms.Tasks[i] = multi.Placement{Start: st, Proc: i}
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("edge order %v: %v", order, err)
 		}
 		if err := ms.Validate(); err != nil {
 			t.Fatalf("edge order %v: 2-pool: %v", order, err)
-		}
-		if u := s.UsageAt(platform.Blue, 0); u != 12 {
-			t.Fatalf("edge order %v: blue usage at 0 = %d, want 12", order, u)
-		}
-		if blue, red := s.MemoryPeaks(); blue != 12 || red != 0 {
-			t.Errorf("edge order %v: dual peaks = (%d,%d), want (12,0)", order, blue, red)
 		}
 		if got := ms.MemoryPeaks(); !slices.Equal(got, []int64{12, 0}) {
 			t.Errorf("edge order %v: 2-pool peaks = %v, want [12 0]", order, got)
@@ -76,9 +62,8 @@ func TestMemoryPeaksIndependentOfEdgeOrder(t *testing.T) {
 // finishes at 0 — within Eps before, so precedence holds — leaving the
 // residency [0.5e-9, 0), which is never Live. Files are acquired at 0
 // (usage 5) and at 1.2e-9 (usage 3, the 5 being freed by then), so the
-// peak is 5, and Validate must accept a capacity of 5 on the dual and the
-// 2-pool schedule alike, although usage at 0.5e-9, no acquisition instant,
-// is 8.
+// peak is 5, and Validate must accept a capacity of 5, although usage at
+// 0.5e-9, no acquisition instant, is 8.
 func TestPeaksAreTightWithNeverLiveResidency(t *testing.T) {
 	work := []float64{0, 1.6e-9, 0, 1, 0, 0}
 	starts := []float64{0, 0, 1.2e-9, 1.2e-9, 0.5e-9, 0}
@@ -89,37 +74,21 @@ func TestPeaksAreTightWithNeverLiveResidency(t *testing.T) {
 	g.MustAddEdge(0, 1, 5, 1)
 	g.MustAddEdge(2, 3, 3, 1)
 	g.MustAddEdge(4, 5, 1, 1)
-	at := func(capacity int64) (*schedule.Schedule, *PoolSchedule) {
-		p := platform.New(len(work), 0, capacity, 0)
-		s := schedule.New(g, p)
-		ms := multi.NewSchedule(multi.FromDual(g), multi.FromDualPlatform(p))
+	at := func(capacity int64) *PoolSchedule {
+		ms := multi.NewSchedule(multi.FromDual(g), NewDualPlatform(len(work), 0, capacity, 0))
 		for i, st := range starts {
-			s.Tasks[i] = schedule.TaskPlacement{Start: st, Proc: i}
 			ms.Tasks[i] = multi.Placement{Start: st, Proc: i}
 		}
-		return s, ms
+		return ms
 	}
-	s, ms := at(5)
-	if u := s.UsageAt(platform.Blue, 0.5e-9); u != 8 {
-		t.Fatalf("blue usage at 0.5e-9 = %d, want 8", u)
-	}
-	if blue, red := s.MemoryPeaks(); blue != 5 || red != 0 {
-		t.Fatalf("dual peaks = (%d,%d), want (5,0)", blue, red)
-	}
+	ms := at(5)
 	if got := ms.MemoryPeaks(); !slices.Equal(got, []int64{5, 0}) {
 		t.Fatalf("2-pool peaks = %v, want [5 0]", got)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("dual rejected at its peak: %v", err)
 	}
 	if err := ms.Validate(); err != nil {
 		t.Fatalf("2-pool rejected at its peak: %v", err)
 	}
-	s, ms = at(4)
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "over capacity") {
-		t.Fatalf("dual at capacity 4: Validate = %v", err)
-	}
-	if err := ms.Validate(); err == nil || !strings.Contains(err.Error(), "over capacity") {
+	if err := at(4).Validate(); err == nil || !strings.Contains(err.Error(), "over capacity") {
 		t.Fatalf("2-pool at capacity 4: Validate = %v", err)
 	}
 }
@@ -308,7 +277,7 @@ func livePeaks(t *testing.T, label string, g *dag.Graph, pools int, pool func(da
 			}
 			var usage int64
 			for _, o := range rs {
-				if schedule.Live(o.from, o.to, r.from) {
+				if multi.Live(o.from, o.to, r.from) {
 					usage += o.size
 				}
 			}
